@@ -591,7 +591,7 @@ func BenchmarkBackendSweep(b *testing.B) {
 func BenchmarkPmemOps(b *testing.B) {
 	b.Run("Store64", func(b *testing.B) {
 		p := pmem.New("bench", 1<<20)
-		p.SetIPCapture(false)
+		p.SetIPCapture(0)
 		for i := 0; i < b.N; i++ {
 			p.Store64(uint64(i*8)%(1<<19), uint64(i))
 		}
@@ -605,7 +605,7 @@ func BenchmarkPmemOps(b *testing.B) {
 	})
 	b.Run("PersistBarrier", func(b *testing.B) {
 		p := pmem.New("bench", 1<<20)
-		p.SetIPCapture(false)
+		p.SetIPCapture(0)
 		for i := 0; i < b.N; i++ {
 			off := uint64(i*64) % (1 << 19)
 			p.Store64(off, uint64(i))
@@ -638,7 +638,7 @@ func BenchmarkShadowApply(b *testing.B) {
 // substrate (alloc + add + store + commit), without detection.
 func BenchmarkPmobjTx(b *testing.B) {
 	p := pmem.New("bench", 16<<20)
-	p.SetIPCapture(false)
+	p.SetIPCapture(0)
 	po, err := pmobj.Create(p, 64, nil)
 	if err != nil {
 		b.Fatal(err)

@@ -300,7 +300,7 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 	}
 	r.pool.SetIncrementalSnapshots(!cfg.DisableIncrementalSnapshots)
 	r.pool.SetFaultHooks(cfg.FaultHooks)
-	r.pool.SetIPCapture(!cfg.DisableIPCapture && cfg.Mode != ModeOriginal)
+	r.pool.SetIPCapture(r.preIPKinds())
 	if cfg.Mode != ModeOriginal {
 		if r.cfg.KeepTrace {
 			r.keptTrace = trace.New()
@@ -570,6 +570,20 @@ func (r *runner) maxPostOps() int {
 		return r.cfg.MaxPostOps
 	}
 	return defaultMaxPostOps
+}
+
+// preIPKinds is the pre-failure pool's eager capture set. A kept trace
+// (KeepTrace, which recording forces, and the trace-only mode) carries
+// every entry's IP; otherwise the entries only feed shadow.Apply, which
+// stores the IPs of shadow.IPKinds and ignores the rest.
+func (r *runner) preIPKinds() trace.KindSet {
+	switch {
+	case r.cfg.DisableIPCapture:
+		return 0
+	case r.cfg.KeepTrace || r.cfg.Mode == ModeTraceOnly:
+		return trace.AllKinds
+	}
+	return shadow.IPKinds
 }
 
 // preSink receives the pre-failure trace. It is the runner itself, typed
@@ -873,7 +887,9 @@ func (r *runner) newPostPool(snap *pmem.Snapshot) *pmem.Pool {
 	}
 	post.SetFaultHooks(r.cfg.FaultHooks)
 	post.SetStage(trace.PostFailure)
-	post.SetIPCapture(!r.cfg.DisableIPCapture)
+	// Post-failure IPs are pulled on demand, only for reads with findings
+	// (postSink.Record).
+	post.SetIPCapture(0)
 	return post
 }
 
@@ -1017,7 +1033,12 @@ func (s *postSink) Record(e trace.Entry) {
 		if e.SkipDetection {
 			return
 		}
-		for _, f := range s.checker.OnRead(e.Addr, e.Size) {
+		findings := s.checker.OnRead(e.Addr, e.Size)
+		readerIP := e.IP
+		if len(findings) > 0 && readerIP == "" && !s.r.cfg.DisableIPCapture {
+			readerIP = pmem.DeliveredIP()
+		}
+		for _, f := range findings {
 			class := CrossFailureRace
 			if f.Class == shadow.ClassSemantic {
 				class = CrossFailureSemantic
@@ -1026,7 +1047,7 @@ func (s *postSink) Record(e trace.Entry) {
 				Class:        class,
 				Addr:         f.Addr,
 				Size:         f.Size,
-				ReaderIP:     e.IP,
+				ReaderIP:     readerIP,
 				WriterIP:     f.WriterIP,
 				FailurePoint: s.fpID,
 			}

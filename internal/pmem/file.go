@@ -141,13 +141,12 @@ func NewFileBacked(name, path string, size int, resume bool, hooks *FaultHooks) 
 		return fail(fmt.Errorf("pmem: map working image: %w", err))
 	}
 	return &Pool{
-		name:      name,
-		size:      sz,
-		buf:       buf,
-		incSnap:   true,
-		dirty:     make([]uint64, (numPages(sz)+63)/64),
-		ipEnabled: true,
-		faults:    hooks,
+		name:    name,
+		size:    sz,
+		buf:     buf,
+		incSnap: true,
+		dirty:   make([]uint64, (numPages(sz)+63)/64),
+		faults:  hooks,
 		file: &fileState{
 			f:         f,
 			path:      path,

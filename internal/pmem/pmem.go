@@ -106,8 +106,8 @@ type Pool struct {
 	libDepth  int    // >0 while executing inside a traced PM library
 	skipDet   int    // >0 while inside a skipDetection region
 	tid       uint32
-	ipEnabled bool
-	faults    *FaultHooks // deterministic harness-fault injection (faults.go)
+	ipOff     trace.KindSet // kinds whose caller location is not captured
+	faults    *FaultHooks   // deterministic harness-fault injection (faults.go)
 }
 
 // New creates a zeroed pool of the given size. Size is rounded up to a whole
@@ -118,12 +118,12 @@ func New(name string, size int) *Pool {
 	}
 	sz := LineUp(uint64(size))
 	return &Pool{
-		name:      name,
-		size:      sz,
-		buf:       make([]byte, sz),
-		incSnap:   true,
-		dirty:     make([]uint64, (numPages(sz)+63)/64),
-		ipEnabled: true,
+		name:    name,
+		size:    sz,
+		buf:     make([]byte, sz),
+		incSnap: true,
+		dirty:   make([]uint64, (numPages(sz)+63)/64),
+		base:    zeroSnapshot(sz),
 	}
 }
 
@@ -136,12 +136,11 @@ func FromImage(name string, img []byte) *Pool {
 	copy(buf, img)
 	sz := uint64(len(buf))
 	return &Pool{
-		name:      name,
-		size:      sz,
-		buf:       buf,
-		incSnap:   true,
-		dirty:     make([]uint64, (numPages(sz)+63)/64),
-		ipEnabled: true,
+		name:    name,
+		size:    sz,
+		buf:     buf,
+		incSnap: true,
+		dirty:   make([]uint64, (numPages(sz)+63)/64),
 	}
 }
 
@@ -208,11 +207,13 @@ func (p *Pool) SetTID(tid uint32) {
 	p.mu.Unlock()
 }
 
-// SetIPCapture toggles source-location capture. Disabling it removes the
-// runtime.Callers cost; reports then lack file:line information.
-func (p *Pool) SetIPCapture(on bool) {
+// SetIPCapture selects the kinds whose entries carry their caller's source
+// location (every kind by default). Entries of other kinds are delivered
+// with an empty IP and skip the stack walk; a sink that turns out to need
+// one can still pull it with DeliveredIP.
+func (p *Pool) SetIPCapture(kinds trace.KindSet) {
 	p.mu.Lock()
-	p.ipEnabled = on
+	p.ipOff = trace.AllKinds &^ kinds
 	p.mu.Unlock()
 }
 
@@ -286,8 +287,8 @@ func (p *Pool) captureLocked(kind trace.Kind, addr, size uint64, fn string) (*Fa
 		InLibrary:     p.libDepth > 0,
 		SkipDetection: p.skipDet > 0,
 	}
-	if p.ipEnabled {
-		e.IP = callerIP()
+	if !p.ipOff.Has(kind) {
+		e.IP = callerIP(1)
 	}
 	return p.faults, p.sink, e
 }
@@ -527,8 +528,10 @@ func (p *Pool) AnnounceEntry(e trace.Entry) {
 	e.TID = p.tid
 	e.InLibrary = p.libDepth > 0
 	e.SkipDetection = p.skipDet > 0
-	if p.ipEnabled && e.IP == "" {
-		e.IP = callerIP()
+	if e.IP == "" && !p.ipOff.Has(e.Kind) {
+		// Start the walk at AnnounceEntry itself, the frame that calls
+		// deliver, so the window matches DeliveredIP's.
+		e.IP = callerIP(0)
 	}
 	faults := p.faults
 	p.mu.Unlock()

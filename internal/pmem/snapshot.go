@@ -1,5 +1,7 @@
 package pmem
 
+import "bytes"
+
 // Incremental snapshots and copy-on-write post-failure views.
 //
 // The detection loop of Fig. 8 copies the PM image at every failure point
@@ -18,7 +20,9 @@ package pmem
 //     TakeSnapshot (also under p.mu) observes buffer bytes and dirty bits
 //     atomically.
 //   - TakeSnapshot reuses the pages of the previous snapshot (the "base")
-//     for every clean page and clones only dirty pages. Snapshot pages are
+//     for every clean page and clones only dirty pages. A fresh pool's base
+//     is all zeroPage, and a dirty page that is all zero shares it too, so
+//     even the first snapshot costs only the pages in use. Snapshot pages are
 //     immutable once published: the root pool writes exclusively to its own
 //     flat buffer, and views clone a page before the first write.
 //   - FromSnapshot builds a post-failure pool as a copy-on-write view: it
@@ -72,6 +76,34 @@ func pageBounds(pg int, size uint64) (lo, hi uint64) {
 	return lo, hi
 }
 
+// zeroPage backs the all-zero pages of incremental snapshots: every page of
+// a fresh pool's base (zeroSnapshot) and every dirty page that is all
+// zero. Most of a pool is zeroed memory the program never wrote, so
+// sharing one read-only page keeps a snapshot — the first one included —
+// proportional to the bytes in use rather than to the pool. Like any
+// snapshot page it is never written: views privatize it on first write.
+var zeroPage = make([]byte, PageSize)
+
+// zeroSnapshot is the snapshot of an all-zero image: the base of a fresh
+// pool, so that its first TakeSnapshot copies only the pages written since
+// creation.
+func zeroSnapshot(size uint64) *Snapshot {
+	s := &Snapshot{size: size, pages: make([][]byte, numPages(size))}
+	for pg := range s.pages {
+		lo, hi := pageBounds(pg, size)
+		s.pages[pg] = zeroPage[: hi-lo : hi-lo]
+	}
+	return s
+}
+
+// snapshotPage returns the immutable snapshot copy of one page.
+func snapshotPage(pg []byte) []byte {
+	if bytes.Equal(pg, zeroPage[:len(pg)]) {
+		return zeroPage[:len(pg):len(pg)]
+	}
+	return clonePage(pg)
+}
+
 func clonePage(pg []byte) []byte {
 	np := make([]byte, len(pg))
 	copy(np, pg)
@@ -84,22 +116,24 @@ func clonePage(pg []byte) []byte {
 // stage actually writes are ever duplicated.
 func FromSnapshot(name string, s *Snapshot) *Pool {
 	return &Pool{
-		name:      name,
-		size:      s.size,
-		pages:     append([][]byte(nil), s.pages...),
-		owned:     make([]bool, len(s.pages)),
-		ipEnabled: true,
+		name:  name,
+		size:  s.size,
+		pages: append([][]byte(nil), s.pages...),
+		owned: make([]bool, len(s.pages)),
 	}
 }
 
 // SetIncrementalSnapshots toggles delta snapshots on a root pool (on by
 // default). When disabled — the ablation configuration — TakeSnapshot
 // clones every page and maintains no base, reproducing the original
-// full-copy-per-failure-point behavior.
+// full-copy-per-failure-point behavior. Setting the current value keeps
+// the base.
 func (p *Pool) SetIncrementalSnapshots(on bool) {
 	p.mu.Lock()
-	p.incSnap = on
-	p.base = nil
+	if on != p.incSnap {
+		p.incSnap = on
+		p.base = nil
+	}
 	p.mu.Unlock()
 }
 
@@ -134,7 +168,7 @@ func (p *Pool) snapshotLocked() *Snapshot {
 		for pg := 0; pg < n; pg++ {
 			if p.dirty[pg/64]&(1<<(pg%64)) != 0 {
 				lo, hi := pageBounds(pg, p.size)
-				s.pages[pg] = clonePage(p.buf[lo:hi])
+				s.pages[pg] = snapshotPage(p.buf[lo:hi])
 			}
 		}
 	} else {

@@ -44,6 +44,42 @@ func TestIncrementalSnapshotSharesCleanPages(t *testing.T) {
 	}
 }
 
+// TestSnapshotSharesZeroPages: all-zero pages of an incremental snapshot,
+// untouched or re-zeroed, share one read-only page; a view writing into one
+// privatizes it and leaves the shared page and other views zero.
+func TestSnapshotSharesZeroPages(t *testing.T) {
+	p := New("zero", 4*PageSize)
+	p.Store64(PageSize, 1)
+	p.Memset(2*PageSize, 0, PageSize) // dirty, but zero
+	s := p.TakeSnapshot()
+	for _, pg := range []int{0, 2, 3} {
+		if pageBase(s, pg) != &zeroPage[0] {
+			t.Errorf("zero page %d was cloned", pg)
+		}
+	}
+	if pageBase(s, 1) == &zeroPage[0] {
+		t.Fatal("written page 1 shares the zero page")
+	}
+
+	v1, v2 := FromSnapshot("v1", s), FromSnapshot("v2", s)
+	v1.Store64(8, 7)
+	if v1.Load64(8) != 7 || v2.Load64(8) != 0 {
+		t.Errorf("views read %d and %d after v1's write, want 7 and 0", v1.Load64(8), v2.Load64(8))
+	}
+	if !bytes.Equal(zeroPage, make([]byte, PageSize)) {
+		t.Fatal("a view wrote through to the shared zero page")
+	}
+
+	p.Store64(16, 5) // page 0 leaves the zero page in the next snapshot
+	s2 := p.TakeSnapshot()
+	if pageBase(s2, 0) == &zeroPage[0] || pageBase(s2, 3) != &zeroPage[0] {
+		t.Error("second snapshot: written page 0 shared, or clean zero page 3 recloned")
+	}
+	if !bytes.Equal(s2.Bytes(), p.Snapshot()) {
+		t.Error("second snapshot does not match the image")
+	}
+}
+
 func TestSnapshotImmutableAfterRootWrites(t *testing.T) {
 	p := New("immutable", 2*PageSize)
 	p.Store64(16, 0xAA)

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"github.com/pmemgo/xfdetector/internal/pmem"
 	"github.com/pmemgo/xfdetector/internal/shadow"
@@ -465,13 +466,33 @@ func Read(r io.Reader) (*Artifact, error) {
 		if v64 > 1<<32 {
 			return nil, fmt.Errorf("record: checkpoint blob of %d bytes", v64)
 		}
-		ck.Shadow = make([]byte, v64)
-		if _, err = io.ReadFull(br, ck.Shadow); err != nil {
+		if ck.Shadow, err = readBlob(br, v64); err != nil {
 			return nil, err
 		}
 		a.Checkpoints = append(a.Checkpoints, ck)
 	}
 	return a, nil
+}
+
+// readBlob reads an n-byte blob whose length comes from the artifact
+// itself. It allocates at most blobChunk bytes ahead of the bytes actually
+// read, so a truncated or hostile artifact cannot make it allocate what it
+// declares; a blob within one chunk is allocated exactly once.
+func readBlob(r io.Reader, n uint64) ([]byte, error) {
+	const blobChunk = 1 << 20
+	buf := make([]byte, 0, min(n, blobChunk))
+	for uint64(len(buf)) < n {
+		step := int(min(n-uint64(len(buf)), blobChunk))
+		buf = slices.Grow(buf, step)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+step]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		buf = buf[:len(buf)+step]
+	}
+	return buf, nil
 }
 
 // BestCheckpoint returns the latest checkpoint strictly below startFP, or

@@ -2,7 +2,11 @@ package record
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/pmemgo/xfdetector/internal/pmem"
@@ -141,5 +145,36 @@ func TestOutOfOrderFailurePointRejected(t *testing.T) {
 	sh := shadow.NewPM(testPool)
 	if err := w.OnFailurePoint(1, 0, 0, 0, nil, sh); err == nil {
 		t.Error("out-of-order failure point accepted")
+	}
+}
+
+// TestReadTruncatedHugeCheckpoint: a truncated artifact whose last
+// checkpoint declares a 4 GiB shadow blob fails to decode without
+// allocating the declared size.
+func TestReadTruncatedHugeCheckpoint(t *testing.T) {
+	data := buildArtifact(t)
+	a, err := Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := a.Checkpoints[len(a.Checkpoints)-1]
+	lenAt := len(data) - len(last.Shadow) - 8
+	if got := binary.LittleEndian.Uint64(data[lenAt:]); got != uint64(len(last.Shadow)) {
+		t.Fatalf("blob length field reads %d, want %d", got, len(last.Shadow))
+	}
+	present := len(last.Shadow) / 2
+	bad := append([]byte(nil), data[:lenAt+8+present]...)
+	binary.LittleEndian.PutUint64(bad[lenAt:], 1<<32)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = Read(bytes.NewReader(bad))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("Read of a truncated 4 GiB blob: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Errorf("Read allocated %d MiB for a blob of which %d bytes are present", alloc>>20, present)
 	}
 }

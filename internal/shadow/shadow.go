@@ -282,6 +282,14 @@ func (s *PM) clip(addr, size uint64) (uint64, uint64) {
 	return addr, end
 }
 
+// IPKinds are the kinds whose source location Apply uses: writer
+// locations, which reports and CrashFingerprint read, and flush and TX_ADD
+// locations, which performance-bug reports carry. Apply ignores the IP of
+// every other kind, so a frontend feeding only Apply needs to capture IPs
+// for these kinds alone.
+var IPKinds = trace.KindsOf(trace.Write, trace.CommitVarWrite, trace.NTStore,
+	trace.CLWB, trace.CLFlush, trace.TxAdd, trace.TxAlloc, trace.AtomicAlloc)
+
 // Apply updates the shadow with one pre-failure trace entry. Entries whose
 // kinds carry no persistence meaning (reads, RoI markers, function
 // boundaries) are ignored.

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 const (
@@ -118,10 +119,16 @@ func (s *PM) WriteState(w io.Writer) error {
 		sw.str(ip)
 	}
 
-	sw.u32(uint32(len(s.pendingLines)))
-	for line, full := range s.pendingLines {
+	// Lines in address order, so equal states serialize to equal bytes.
+	lines := make([]uint64, 0, len(s.pendingLines))
+	for line := range s.pendingLines {
+		lines = append(lines, line)
+	}
+	slices.Sort(lines)
+	sw.u32(uint32(len(lines)))
+	for _, line := range lines {
 		sw.u64(line)
-		if full {
+		if s.pendingLines[line] {
 			sw.u8(1)
 		} else {
 			sw.u8(0)

@@ -131,6 +131,24 @@ func (k Kind) IsMemOp() bool {
 	return false
 }
 
+// KindSet is a set of kinds, one bit per Kind.
+type KindSet uint32
+
+// AllKinds holds every defined kind.
+const AllKinds KindSet = 1<<numKinds - 1
+
+// KindsOf returns the set holding ks.
+func KindsOf(ks ...Kind) KindSet {
+	var s KindSet
+	for _, k := range ks {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in the set.
+func (s KindSet) Has(k Kind) bool { return s&(1<<k) != 0 }
+
 // Stage identifies which side of the failure an entry was recorded on.
 type Stage uint8
 
