@@ -430,65 +430,60 @@ func BenchmarkCrossShardPruning(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordedFanout measures the record-once fast-forward path
-// (PR 10): a three-shard update-heavy campaign where the pre-failure pass
-// is recorded once and every shard replays the artifact — jumping to the
-// nearest engine checkpoint below its first owned failure point — against
-// the same fleet with the knob off (-no-fast-forward), where every shard
-// re-executes the full pre-failure stage live. The fleet's pre-failure
-// cost drops from O(shards x trace) to O(trace + per-shard suffixes);
-// pre-s/shard carries the per-shard reduction, record-s/op the one-time
-// recording cost the fast-forward variant amortizes. The campaign is
-// B-Tree under the update-heavy ablation configuration: a live shard
-// re-executes every pmobj transaction with source-location capture, which
-// is exactly the work the replay drops.
-// TestRecordedFanoutAcceptance pins the >= 2x per-shard claim and the
-// byte-identical merged key sets.
+// BenchmarkRecordedFanout measures the record-once path against live
+// shards on the update-heavy B-Tree campaign, at 3 and 8 shards. RecordOnce
+// records the pre-failure pass once and every shard replays the whole
+// artifact; Live has every shard execute the pre-failure stage itself.
+// ns/op is the fleet's total (record pass included); pre-s/shard is the
+// per-shard pre-failure stage, record-s/op the one-time recording cost.
+// TestRecordedFanoutAcceptance pins the byte-identical merged key sets.
 func BenchmarkRecordedFanout(b *testing.B) {
-	const shards = 3
 	target := bench.RecordedFanoutTarget
-	for _, ff := range []bool{true, false} {
-		name, ff := "FastForward", ff
-		if !ff {
-			name = "NoFastForward"
+	for _, shards := range []int{3, 8} {
+		for _, recordOnce := range []bool{true, false} {
+			name := fmt.Sprintf("shards=%d/Live", shards)
+			if recordOnce {
+				name = fmt.Sprintf("shards=%d/RecordOnce", shards)
+			}
+			shards, recordOnce := shards, recordOnce
+			b.Run(name, func(b *testing.B) {
+				var preSec, recSec float64
+				for i := 0; i < b.N; i++ {
+					var artifact *record.Artifact
+					if recordOnce {
+						var buf bytes.Buffer
+						cfg := core.Config{PoolSize: bench.DefaultPoolSize}
+						cfg.Record = record.NewWriter(&buf, 1, bench.DefaultPoolSize, 0)
+						res, err := core.Run(cfg, target())
+						if err != nil {
+							b.Fatal(err)
+						}
+						recSec += res.PreSeconds
+						if artifact, err = record.Read(&buf); err != nil {
+							b.Fatal(err)
+						}
+					}
+					for idx := 0; idx < shards; idx++ {
+						cfg := core.Config{
+							PoolSize:   bench.DefaultPoolSize,
+							ShardCount: shards,
+							ShardIndex: idx,
+							Replay:     artifact,
+						}
+						res, err := core.Run(cfg, target())
+						if err != nil {
+							b.Fatal(err)
+						}
+						preSec += res.PreSeconds
+					}
+				}
+				n := float64(b.N)
+				b.ReportMetric(preSec/n/float64(shards), "pre-s/shard")
+				if recordOnce {
+					b.ReportMetric(recSec/n, "record-s/op")
+				}
+			})
 		}
-		b.Run(name, func(b *testing.B) {
-			var preSec, recSec float64
-			for i := 0; i < b.N; i++ {
-				var artifact *record.Artifact
-				if ff {
-					var buf bytes.Buffer
-					cfg := core.Config{PoolSize: bench.DefaultPoolSize}
-					cfg.Record = record.NewWriter(&buf, 1, bench.DefaultPoolSize, 0)
-					res, err := core.Run(cfg, target())
-					if err != nil {
-						b.Fatal(err)
-					}
-					recSec += res.PreSeconds
-					if artifact, err = record.Read(&buf); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for idx := 0; idx < shards; idx++ {
-					cfg := core.Config{
-						PoolSize:   bench.DefaultPoolSize,
-						ShardCount: shards,
-						ShardIndex: idx,
-						Replay:     artifact,
-					}
-					res, err := core.Run(cfg, target())
-					if err != nil {
-						b.Fatal(err)
-					}
-					preSec += res.PreSeconds
-				}
-			}
-			n := float64(b.N)
-			b.ReportMetric(preSec/n/shards, "pre-s/shard")
-			if ff {
-				b.ReportMetric(recSec/n, "record-s/op")
-			}
-		})
 	}
 }
 

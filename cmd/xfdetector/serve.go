@@ -2,13 +2,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"runtime"
@@ -58,16 +56,6 @@ func runServe(addr, workdir string, leaseTTL time.Duration) int {
 	}
 	defer cache.Close()
 	srv.Cache = cache
-	// Record-once launcher: the daemon execs this binary with -record to
-	// capture each campaign's pre-failure pass into its campaign directory;
-	// workers then fetch the artifact over their leases.
-	exe, err := os.Executable()
-	if err != nil {
-		return errorf("locating daemon binary: %v", err)
-	}
-	srv.Record = func(dir string, args []string) (string, error) {
-		return recordForDaemon(exe, dir, args)
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return errorf("listening on %s: %v", addr, err)
@@ -89,29 +77,6 @@ func runServe(addr, workdir string, leaseTTL time.Duration) int {
 		return errorf("serving: %v", err)
 	}
 	return 0
-}
-
-// recordForDaemon runs one campaign's record-once child and returns the
-// artifact path. Exit 0 and 1 (clean / pre-failure bugs reported) both
-// leave a complete artifact.
-func recordForDaemon(exe, dir string, baseArgs []string) (string, error) {
-	path := filepath.Join(dir, "campaign.xfdr")
-	args := append(append([]string{}, baseArgs...), "-record", path)
-	encoded, err := json.Marshal(args)
-	if err != nil {
-		return "", err
-	}
-	cmd := exec.Command(exe, args...)
-	cmd.Env = append(os.Environ(), serve.ShardArgsEnv+"="+string(encoded))
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		var ee *exec.ExitError
-		if errors.As(err, &ee) && ee.ExitCode() == 1 {
-			return path, nil // pre-failure bugs reported; the artifact is complete
-		}
-		return "", fmt.Errorf("record child: %v: %s", err, ckpt.Truncate(string(out), 2048))
-	}
-	return path, nil
 }
 
 // runWorker joins a daemon's fleet until SIGINT/SIGTERM. The worker execs

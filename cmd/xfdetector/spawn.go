@@ -69,12 +69,10 @@ type spawnConfig struct {
 	// killGrace is the SIGTERM→SIGKILL escalation window for shards that
 	// ignore the cancellation request (-kill-grace).
 	killGrace time.Duration
-	// fromRecord hands every shard an existing recorded artifact
-	// (-from-record) instead of recording one; noFastForward skips
-	// recording entirely — the ablation where every shard re-executes the
+	// fromRecord, when set, hands every shard the user's recorded artifact
+	// (-from-record) to replay; otherwise every shard executes the
 	// pre-failure stage live.
-	fromRecord    string
-	noFastForward bool
+	fromRecord string
 }
 
 func shardCkptPath(base string, idx int) string {
@@ -105,57 +103,6 @@ func (sc spawnConfig) shardVCache(idx int) string {
 	return fmt.Sprintf("%s.shard%d", sc.vcache, idx)
 }
 
-// artifactPath is where the orchestrator records the campaign artifact.
-func (sc spawnConfig) artifactPath() string {
-	if sc.workdir != "" {
-		return filepath.Join(sc.workdir, "campaign.xfdr")
-	}
-	return sc.ckptBase + ".xfdr"
-}
-
-// recordCampaign runs the record-once child (-record) that captures the
-// pre-failure pass every shard then replays. Exit codes 0 and 1 (clean /
-// pre-failure bugs reported) both leave a complete artifact.
-func recordCampaign(ctx context.Context, sc spawnConfig, path string) (int, error) {
-	args := append(append([]string{}, sc.baseArgs...), "-record", path)
-	encoded, err := json.Marshal(args)
-	if err != nil {
-		return 0, err
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return 0, err
-	}
-	cmd := exec.Command(exe, args...)
-	cmd.Env = append(os.Environ(), shardArgsEnv+"="+string(encoded))
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return 0, err
-	}
-	if err := cmd.Start(); err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(os.Stderr, "[orchestrator] recording pre-failure pass (pid %d) into %s\n", cmd.Process.Pid, path)
-	waitDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			serve.TerminateThenKill(cmd.Process, waitDone, sc.killGrace)
-		case <-waitDone:
-		}
-	}()
-	forwardLabeled(stderr, "recorder")
-	err = cmd.Wait()
-	close(waitDone)
-	if err == nil {
-		return 0, nil
-	}
-	if ee, ok := err.(*exec.ExitError); ok {
-		return ee.ExitCode(), nil
-	}
-	return 0, err
-}
-
 // runSpawn supervises the shard fleet and merges its checkpoints.
 func runSpawn(sc spawnConfig) int {
 	if sc.workdir != "" {
@@ -165,19 +112,6 @@ func runSpawn(sc spawnConfig) int {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// Record the deterministic pre-failure pass once, then hand the artifact
-	// to every shard: N shards replay one recording instead of N identical
-	// live executions. Recording failure is not fatal — the fleet falls back
-	// to live pre-failure stages, which is always sound, just slower.
-	if sc.fromRecord == "" && !sc.noFastForward {
-		path := sc.artifactPath()
-		if code, err := recordCampaign(ctx, sc, path); err != nil || code > 1 {
-			fmt.Fprintf(os.Stderr, "[orchestrator] record pass failed (exit %d, %v); shards run the pre-failure stage live\n", code, err)
-		} else {
-			sc.fromRecord = path
-		}
-	}
 
 	codes := make([]int, sc.shards)
 	var wg sync.WaitGroup
@@ -345,14 +279,8 @@ func runShardOnce(ctx context.Context, sc spawnConfig, idx int, ckpt string, res
 // rest of the stream for the shard's lifetime. Long lines are truncated
 // and marked for display only; nothing parsed goes through here.
 func forwardLines(r io.Reader, idx int) {
-	forwardLabeled(r, fmt.Sprintf("shard %d", idx))
-}
-
-// forwardLabeled is forwardLines with an arbitrary prefix (the record-once
-// child is not a shard).
-func forwardLabeled(r io.Reader, label string) {
 	ckpt.ForEachLine(r, func(line string) error {
-		fmt.Fprintf(os.Stderr, "[%s] %s\n", label, ckpt.Truncate(line, forwardLineCap))
+		fmt.Fprintf(os.Stderr, "[shard %d] %s\n", idx, ckpt.Truncate(line, forwardLineCap))
 		return nil
 	})
 }

@@ -14,8 +14,8 @@
 // the pmemcheck-like and PMTest-like checkers would report. -analyze
 // accepts both container formats by sniffing the magic: a bare XFDT trace
 // (this command's own -record output) or a recorded-campaign XFDR
-// artifact (xfdetector -record), whose header and checkpoint inventory
-// are printed before its embedded trace is analyzed.
+// artifact (xfdetector -record), whose header and trace and pool-delta
+// byte counts are printed before its embedded trace is analyzed.
 package main
 
 import (
@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -111,13 +112,19 @@ func doAnalyze(path string) error {
 	case err == nil:
 		fmt.Printf("recorded-campaign artifact: target %q, identity %016x, pool %d bytes\n",
 			a.Target, a.Identity, a.PoolSize)
-		fmt.Printf("  %d failure point(s), %d engine checkpoint(s), %d pre-failure perf report(s)\n",
-			len(a.FPs), len(a.Checkpoints), len(a.Perf))
-		for _, ck := range a.Checkpoints {
-			fmt.Printf("  checkpoint at failure point %d (trace index %d, %d op(s))\n",
-				ck.FP, ck.TraceIdx, ck.OpsEver)
+		traceBytes, err := a.Trace.WriteTo(io.Discard)
+		if err != nil {
+			return fmt.Errorf("re-encoding %s's trace: %w", path, err)
 		}
-		fmt.Println()
+		pages, deltaBytes := 0, 0
+		for _, fp := range a.FPs {
+			pages += len(fp.Delta)
+			for _, d := range fp.Delta {
+				deltaBytes += len(d.Data)
+			}
+		}
+		fmt.Printf("  %d failure point(s), trace %d bytes, pool deltas %d bytes in %d page(s)\n\n",
+			len(a.FPs), traceBytes, deltaBytes, pages)
 		tr = a.Trace
 	case errors.Is(err, record.ErrBadMagic):
 		tr = trace.New()

@@ -86,12 +86,11 @@ func TestRecordedFanoutAcceptance(t *testing.T) {
 
 // TestFastForwardEquivalenceAcrossTable4 pins the record/replay contract on
 // every evaluated program of the paper's Table 4: a campaign replayed from
-// the recorded pre-failure artifact (fast-forward on) must produce exactly
-// the same report-key set and exact per-failure-point bucket accounting as
-// the same campaign executed live (fast-forward off, the -no-fast-forward
-// ablation), across workers 1/2 and shards 1/3. Where a bug is seeded, the
-// expected class must actually be detected, so the equivalence is
-// established on non-trivial report sets.
+// the recorded pre-failure artifact (ff=true) must produce exactly the
+// same report-key set and exact per-failure-point bucket accounting as the
+// same campaign executed live (ff=false), across workers 1/2 and shards
+// 1/3. Where a bug is seeded, the expected class must actually be
+// detected, so the equivalence is established on non-trivial report sets.
 func TestFastForwardEquivalenceAcrossTable4(t *testing.T) {
 	for _, tt := range table4Cases(t) {
 		tt := tt

@@ -236,9 +236,8 @@ var PruneAblationConfig = workloads.TargetConfig{
 // TestRecordedFanoutAcceptance share: the update-heavy B-Tree with its
 // validation suite's skip-add-leaf fault seeded, so the merged key sets
 // both compare are non-empty. The pre-failure stage runs sixty pmobj
-// update transactions with per-store source-location capture — the work a
-// fast-forwarded shard replaces with trace application, which is where
-// the recorded artifact's speedup comes from.
+// update transactions — the work a replaying shard replaces with trace
+// application.
 func RecordedFanoutTarget() core.Target {
 	m, ok := workloads.MakerFor("B-Tree")
 	if !ok {

@@ -168,25 +168,20 @@ type Config struct {
 	// stage executes once with the post-failure stage forced off (failure
 	// points are injected and counted exactly as a real campaign would, but
 	// nothing is dispatched), and at each failure point the runner hands
-	// the writer the trace position, the crash-state fingerprint, and the
-	// pool pages dirtied since the previous point; the writer checkpoints
-	// the serialized shadow periodically and Run finalizes the artifact.
-	// Requires ModeDetect, the sparse shadow, and a memory-backed pool; a
+	// the writer the crash-state fingerprint and the pool pages dirtied
+	// since the previous point; Run finalizes the artifact with the whole
+	// pre-failure trace. Requires ModeDetect and a memory-backed pool; a
 	// cancelled or degraded recording fails with an error rather than
 	// producing a short artifact.
 	Record *record.Writer
 	// Replay, if set, runs the frontend from a recorded artifact instead
-	// of executing Target.Setup/Target.Pre: trace entries replay into the
-	// shadow, recorded failure-point markers dispatch post-runs exactly as
-	// live injection would (same sharding, resume, pruning, and verdict
+	// of executing Target.Setup/Target.Pre: every trace entry replays into
+	// the shadow, recorded failure-point markers dispatch post-runs exactly
+	// as live injection would (same sharding, resume, pruning, and verdict
 	// semantics), and the pool image advances by the artifact's page
-	// deltas. When pruning is on and the shard's first owned, uncovered
-	// failure point lies past an engine checkpoint, the replay jumps to
-	// the nearest checkpoint at or below it — restoring the serialized
-	// shadow and the composed pool image — and replays only the trace
-	// delta; every replayed dispatch first verifies the recorded
-	// crash-state fingerprint against the replayed shadow and fails the
-	// run on a mismatch (a stale or corrupt checkpoint must never skew
+	// deltas. Every replayed dispatch under pruning first verifies the
+	// recorded crash-state fingerprint against the replayed shadow and
+	// fails the run on a mismatch (a corrupt artifact must never skew
 	// detection silently). Requires ModeDetect and a pool size matching
 	// the artifact's.
 	Replay *record.Artifact
@@ -262,9 +257,6 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 	if cfg.Record != nil {
 		if cfg.Mode != ModeDetect {
 			return nil, errors.New("core: recording requires detect mode")
-		}
-		if cfg.DenseShadow {
-			return nil, errors.New("core: recording requires the sparse shadow (dense shadow state has no checkpoint form)")
 		}
 		// A recording pass injects and numbers failure points exactly like
 		// a live campaign but dispatches nothing: the artifact stands in

@@ -3,26 +3,27 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/pmemgo/xfdetector/internal/record"
+	"github.com/pmemgo/xfdetector/internal/trace"
 )
 
 // Recorded-campaign equivalence: a replay from the XFDR artifact must be
 // report-for-report identical to executing the target live — sequentially,
-// across shards, and when fast-forwarding through an engine checkpoint —
-// and the fingerprint tripwire must catch a stale checkpoint instead of
-// silently mis-classifying crash states.
+// across shards, and resumed — and the fingerprint tripwire must catch a
+// tampered artifact instead of silently mis-classifying crash states.
 
 const replayTestPool = 1 << 20
 
 // recordArtifact runs one recording pass of mk's target and decodes the
 // resulting artifact.
-func recordArtifact(t *testing.T, mk func(string) Target, name string, every int) *record.Artifact {
+func recordArtifact(t *testing.T, mk func(string) Target, name string) *record.Artifact {
 	t.Helper()
 	var buf bytes.Buffer
 	cfg := Config{PoolSize: replayTestPool}
-	cfg.Record = record.NewWriter(&buf, 42, replayTestPool, every)
+	cfg.Record = record.NewWriter(&buf, 42, replayTestPool, 0)
 	res, err := Run(cfg, mk(name))
 	if err != nil {
 		t.Fatalf("recording %s: %v", name, err)
@@ -52,12 +53,12 @@ func TestRecordedReplayMatchesLive(t *testing.T) {
 		"manyFP": manyFPTarget,
 	}
 	for tname, mk := range targets {
-		live, err := Run(Config{PoolSize: replayTestPool}, mk(tname + "-live"))
+		live, err := Run(Config{PoolSize: replayTestPool}, mk(tname+"-live"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		liveKeys := sortedKeys(live)
-		a := recordArtifact(t, mk, tname+"-rec", 0)
+		a := recordArtifact(t, mk, tname+"-rec")
 		for _, workers := range []int{1, 4} {
 			for _, shards := range []int{1, 3} {
 				t.Run(fmt.Sprintf("%s/workers=%d/shards=%d", tname, workers, shards), func(t *testing.T) {
@@ -103,35 +104,30 @@ func TestRecordedReplayMatchesLive(t *testing.T) {
 	}
 }
 
-// TestRecordedResumeJumpEquivalence: a resumed replay whose completed
-// prefix lets it jump through an engine checkpoint reports exactly what a
-// full-trace replay of the same resume reports, with the prefix bucketed
-// as resumed.
-func TestRecordedResumeJumpEquivalence(t *testing.T) {
-	a := recordArtifact(t, manyFPTarget, "resume-rec", 2)
-	if len(a.Checkpoints) < 2 {
-		t.Fatalf("need ≥2 checkpoints to exercise the jump, have %d", len(a.Checkpoints))
-	}
+// TestRecordedResumeMatchesLive: a resumed replay (every failure point
+// but the last completed) reports exactly what a live run of the same
+// resume reports, with the completed prefix bucketed as resumed.
+func TestRecordedResumeMatchesLive(t *testing.T) {
+	a := recordArtifact(t, manyFPTarget, "resume-rec")
 	total := len(a.FPs)
 	completed := map[int]bool{}
 	for fp := 0; fp < total-1; fp++ {
 		completed[fp] = true
 	}
-	run := func(keepTrace bool) *Result {
+	run := func(replay *record.Artifact) *Result {
 		t.Helper()
 		res, err := Run(Config{
 			PoolSize:               replayTestPool,
-			Replay:                 a,
-			KeepTrace:              keepTrace, // true forces the full-trace path (no jump)
+			Replay:                 replay,
 			CompletedFailurePoints: completed,
-		}, manyFPTarget("resume-replay"))
+		}, manyFPTarget("resume-run"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	jumped, full := run(false), run(true)
-	for _, res := range []*Result{jumped, full} {
+	replayed, live := run(a), run(nil)
+	for _, res := range []*Result{replayed, live} {
 		if res.ResumedFailurePoints != total-1 {
 			t.Errorf("resumed = %d, want %d", res.ResumedFailurePoints, total-1)
 		}
@@ -139,25 +135,83 @@ func TestRecordedResumeJumpEquivalence(t *testing.T) {
 			t.Errorf("buckets account for %d of %d failure points", got, res.FailurePoints)
 		}
 	}
-	if jumped.PostRuns != full.PostRuns {
-		t.Errorf("post runs: jumped %d, full replay %d", jumped.PostRuns, full.PostRuns)
+	if replayed.PostRuns != live.PostRuns {
+		t.Errorf("post runs: replayed %d, live %d", replayed.PostRuns, live.PostRuns)
 	}
-	if !equalKeys(sortedKeys(jumped), sortedKeys(full)) {
-		t.Errorf("jumped replay keys differ from full replay:\njumped: %v\nfull:   %v",
-			sortedKeys(jumped), sortedKeys(full))
+	if !equalKeys(sortedKeys(replayed), sortedKeys(live)) {
+		t.Errorf("resumed replay keys differ from the resumed live run:\nreplay: %v\nlive:   %v",
+			sortedKeys(replayed), sortedKeys(live))
 	}
 }
 
-// TestStaleCheckpointTripwire: a stale engine checkpoint (recorded with the
-// seeded mutant) must fail the replay at the fingerprint tripwire, never
+// TestReplayTripwireCatchesTamperedArtifact: an artifact whose recorded
+// fingerprints no longer describe its trace — one flipped fingerprint, or
+// one Write dropped before a later failure-point marker — must fail the
+// replay at the fingerprint tripwire, never complete with wrong
+// classifications.
+func TestReplayTripwireCatchesTamperedArtifact(t *testing.T) {
+	const marker = 3 // the failure point whose state the tampering skews
+	tamper := map[string]func(a *record.Artifact){
+		"flipped-fingerprint": func(a *record.Artifact) {
+			a.FPs[marker].Fingerprint ^= 1
+		},
+		"dropped-write": func(a *record.Artifact) {
+			entries := a.Trace.Entries()
+			drop, seen := -1, 0
+			for i, e := range entries {
+				if e.Kind == trace.Write {
+					drop = i
+				}
+				if e.Kind == trace.FailurePoint && e.Stage == trace.PreFailure {
+					if seen == marker {
+						break
+					}
+					seen++
+				}
+			}
+			if drop < 0 {
+				t.Fatalf("no Write before failure point %d", marker)
+			}
+			kept := trace.New()
+			for i, e := range entries {
+				if i != drop {
+					kept.Append(e)
+				}
+			}
+			a.Trace = kept
+		},
+	}
+	for name, mutate := range tamper {
+		t.Run(name, func(t *testing.T) {
+			a := recordArtifact(t, manyFPTarget, name+"-rec")
+			if len(a.FPs) <= marker {
+				t.Fatalf("target too small: %d failure points", len(a.FPs))
+			}
+			mutate(a)
+			_, err := Run(Config{PoolSize: replayTestPool, Replay: a}, manyFPTarget(name+"-replay"))
+			if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+				t.Fatalf("replay of a tampered artifact: err = %v, want the fingerprint mismatch", err)
+			}
+		})
+	}
+}
+
+// TestStaleCheckpointTripwire: an artifact whose per-failure-point records
+// are stale — every record carries failure point 0's fingerprint — must
+// fail a resumed replay (every point but the last completed) at the
+// fingerprint tripwire of the one point it still dispatches, never
 // complete with wrong classifications.
 func TestStaleCheckpointTripwire(t *testing.T) {
-	record.SetStaleCheckpointForTest(true)
-	a := recordArtifact(t, manyFPTarget, "stale-rec", 2)
-	record.SetStaleCheckpointForTest(false)
+	a := recordArtifact(t, manyFPTarget, "stale-rec")
 	total := len(a.FPs)
 	if total < 4 {
-		t.Fatalf("target too small to reach a stale checkpoint: %d failure points", total)
+		t.Fatalf("target too small to reach a stale record: %d failure points", total)
+	}
+	if a.FPs[total-1].Fingerprint == a.FPs[0].Fingerprint {
+		t.Fatalf("failure points 0 and %d share a fingerprint; a stale record proves nothing", total-1)
+	}
+	for i := range a.FPs {
+		a.FPs[i].Fingerprint = a.FPs[0].Fingerprint
 	}
 	completed := map[int]bool{}
 	for fp := 0; fp < total-1; fp++ {
@@ -168,8 +222,8 @@ func TestStaleCheckpointTripwire(t *testing.T) {
 		Replay:                 a,
 		CompletedFailurePoints: completed,
 	}, manyFPTarget("stale-replay"))
-	if err == nil {
-		t.Fatal("replay through a stale engine checkpoint completed; the fingerprint tripwire must fail it")
+	if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+		t.Fatalf("resumed replay of stale records: err = %v, want the fingerprint mismatch", err)
 	}
 }
 

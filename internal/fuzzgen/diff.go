@@ -99,10 +99,10 @@ func CheckSeed(seed int64, knob Knob) error {
 //     the warm run's cache hits equal the entries the cold run persisted
 //     and its post-runs shrink by exactly that count;
 //   - ModeDetect replayed from a recorded pre-failure artifact
-//     (internal/record): sequential, three-shard and deep-jump-resume
-//     replays must reproduce the oracle's key set (or the full-trace
-//     replay's, for the resume) with exact bucket accounting and
-//     oracle-predicted post-read byte digests;
+//     (internal/record): sequential, three-shard and deep-resume replays
+//     must reproduce the oracle's key set (or the live resumed run's, for
+//     the resume) with exact bucket accounting and oracle-predicted
+//     post-read byte digests;
 //   - ModeTraceOnly: no failure points, no reports, exactly the op entries;
 //   - ModeOriginal: no tracing at all.
 //
@@ -241,9 +241,8 @@ func CheckProgram(p Program) error {
 		return err
 	}
 
-	// Recorded-campaign fast-forward (recorded.go): record the pre-failure
-	// pass once, then hold sequential, sharded and checkpoint-jumping
-	// replays of the artifact to the oracle and to the live pruned run.
+	// Recorded campaign (recorded.go): record the pre-failure pass once,
+	// then hold sequential, sharded and resumed replays of the artifact to the oracle and to the live pruned run.
 	if err := checkRecorded(p, want, base); err != nil {
 		return err
 	}

@@ -1,39 +1,35 @@
 package fuzzgen
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
 	"github.com/pmemgo/xfdetector/internal/core"
-	"github.com/pmemgo/xfdetector/internal/record"
 )
 
-// Seeded mutant for the recorded-campaign fast-forward layer (PR 10). A
-// checkpoint jump skips re-executing the trace prefix, trusting that the
-// serialized engine state really is the state at that failure point; a
-// recorder that writes stale checkpoint blobs (here: every checkpoint
-// reuses the first one's shadow state) breaks exactly that trust, and the
-// replay's per-failure-point fingerprint tripwire exists solely to refuse
-// it. The battery proves a deep-jump resume through a stale checkpoint
-// either fails at the tripwire or surfaces as a differential mismatch —
-// never a silent wrong classification.
+// Seeded mutant for the recorded-campaign artifact. A replay trusts that
+// each per-failure-point record describes the state its trace prefix
+// reaches; an artifact whose records are stale (here: every record
+// carries failure point 0's fingerprint) breaks exactly that trust, and
+// the replay's fingerprint tripwire exists to refuse it. The battery
+// proves a deep resume over stale records fails at the tripwire whenever
+// the stale fingerprint differs from the real one — never a silent wrong
+// classification.
 
 // recordMutationSeeds is the battery's per-knob seed count.
 const recordMutationSeeds = 40
 
-// TestStaleCheckpointMutationCaught: with record.SetStaleCheckpointForTest
-// on, recorded artifacts carry checkpoints whose shadow state belongs to an
-// earlier failure point. A resumed replay that jumps through one must be
-// caught. Must not run in parallel: the mutation switch is a package-level
-// toggle in internal/record.
+// TestStaleCheckpointMutationCaught: generated programs are recorded and
+// deep-resumed (every failure point but the last completed) from the
+// artifact. Genuine records must replay cleanly; stale records must fail
+// the resume at the tripwire on every pair where the last point's real
+// fingerprint differs from failure point 0's.
 func TestStaleCheckpointMutationCaught(t *testing.T) {
 	knobs := []Knob{KnobDroppedFlush, KnobMixed}
-	// scenario records p and deep-jump-resumes it, comparing the jumped
-	// replay against the full-trace replay of the same resume. eligible
-	// reports whether the resume actually jumps through a non-initial
-	// checkpoint — the only ones the mutant corrupts.
-	scenario := func(seed int64, knob Knob) (eligible bool, err error) {
+	// scenario records p and deep-resumes it from the artifact, with the
+	// records made stale when stale is set. eligible reports whether the
+	// stale fingerprint differs from the one the resumed point really has.
+	scenario := func(seed int64, knob Knob, stale bool) (eligible bool, err error) {
 		p := Generate(seed, knob)
 		a, err := recordProgram(p)
 		if err != nil {
@@ -43,79 +39,61 @@ func TestStaleCheckpointMutationCaught(t *testing.T) {
 		if total < 2 {
 			return false, nil
 		}
+		eligible = a.FPs[total-1].Fingerprint != a.FPs[0].Fingerprint
+		if stale {
+			for i := range a.FPs {
+				a.FPs[i].Fingerprint = a.FPs[0].Fingerprint
+			}
+		}
 		completed := make(map[int]bool, total-1)
 		for fp := 0; fp < total-1; fp++ {
 			completed[fp] = true
 		}
-		if ck := a.BestCheckpoint(total - 1); ck == nil || ck.FP == 0 {
-			// A jump to the very first checkpoint replays state the mutant
-			// left genuine; the scenario proves nothing there.
-			eligible = false
-		} else {
-			eligible = true
-		}
-		resume := func(keepTrace bool) (*core.Result, error) {
-			return core.Run(core.Config{
-				PoolSize:               p.PoolSize,
-				Replay:                 a,
-				KeepTrace:              keepTrace,
-				CompletedFailurePoints: completed,
-			}, BuildTarget(p))
-		}
-		jumped, err := resume(false)
-		if err != nil {
-			return eligible, err
-		}
-		full, err := resume(true)
-		if err != nil {
-			return eligible, err
-		}
-		return eligible, compare(p, "stale-checkpoint", "keys", joinKeys(full), joinKeys(jumped))
+		_, err = core.Run(core.Config{
+			PoolSize:               p.PoolSize,
+			Replay:                 a,
+			CompletedFailurePoints: completed,
+		}, BuildTarget(p))
+		return eligible, err
 	}
 
 	for seed := int64(0); seed < recordMutationSeeds; seed++ {
 		for _, k := range knobs {
-			if _, err := scenario(seed, k); err != nil {
+			if _, err := scenario(seed, k, false); err != nil {
 				t.Fatalf("pre-mutation sanity failed (seed %d, knob %s): %v", seed, k, err)
 			}
 		}
 	}
 
-	record.SetStaleCheckpointForTest(true)
-	defer record.SetStaleCheckpointForTest(false)
 	caught, eligiblePairs := 0, 0
 	for seed := int64(0); seed < recordMutationSeeds; seed++ {
 		for _, k := range knobs {
-			eligible, err := scenario(seed, k)
+			eligible, err := scenario(seed, k, true)
 			if !eligible {
-				if err != nil && !isTripwire(err) {
-					t.Fatalf("seed %d knob %s: ineligible scenario errored under mutation: %v", seed, k, err)
+				if err != nil {
+					t.Fatalf("seed %d knob %s: stale records equal to the real ones errored: %v", seed, k, err)
 				}
 				continue
 			}
 			eligiblePairs++
-			var m *Mismatch
 			switch {
 			case isTripwire(err):
-				caught++ // the replay refused the stale checkpoint outright
-			case errors.As(err, &m):
-				caught++ // it slipped past the tripwire but diverged visibly
+				caught++
 			case err != nil:
-				t.Fatalf("seed %d knob %s: non-mismatch error under mutation: %v", seed, k, err)
+				t.Fatalf("seed %d knob %s: non-tripwire error under mutation: %v", seed, k, err)
+			default:
+				t.Errorf("seed %d knob %s: resumed replay over stale records completed", seed, k)
 			}
 		}
 	}
 	if eligiblePairs == 0 {
-		t.Fatalf("no seed produced a resume that jumps through a non-initial checkpoint; the battery proved nothing")
+		t.Fatalf("no seed produced a resumed point whose fingerprint differs from failure point 0's; the battery proved nothing")
 	}
-	if caught == 0 {
-		t.Fatalf("seeded stale-checkpoint mutation went undetected on all %d eligible seed-knob pairs", eligiblePairs)
-	}
-	t.Logf("stale-checkpoint caught on %d/%d eligible seed-knob pairs", caught, eligiblePairs)
+	t.Logf("stale records caught on %d/%d eligible seed-knob pairs", caught, eligiblePairs)
 }
 
 // isTripwire reports whether err is the replay's fingerprint tripwire
-// refusing a stale or corrupt engine checkpoint.
+// refusing a corrupt artifact.
 func isTripwire(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "stale or corrupt engine checkpoint")
+	return err != nil && strings.Contains(err.Error(), "fingerprint mismatch")
 }

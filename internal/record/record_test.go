@@ -3,54 +3,51 @@ package record
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"io"
-	"reflect"
-	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/pmemgo/xfdetector/internal/pmem"
-	"github.com/pmemgo/xfdetector/internal/shadow"
 	"github.com/pmemgo/xfdetector/internal/trace"
 )
 
 const testPool = 1 << 16
 
-// buildArtifact writes a small synthetic artifact — three failure points,
-// checkpoints at 0 and 2 — and returns its encoded bytes.
-func buildArtifact(t *testing.T) []byte {
-	t.Helper()
+// fillPage returns a delta page of n bytes, every byte set to fill.
+func fillPage(idx, n int, fill byte) pmem.DeltaPage {
+	return pmem.DeltaPage{Index: idx, Data: bytes.Repeat([]byte{fill}, n)}
+}
+
+// encode writes a synthetic artifact over a pool of poolSize bytes: one
+// Write entry and one failure point per element of deltas.
+func encode(tb testing.TB, poolSize uint64, deltas ...[]pmem.DeltaPage) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf, 0xfeed, testPool, 2)
-	sh := shadow.NewPM(testPool)
+	w := NewWriter(&buf, 0xfeed, poolSize, 0)
 	tr := trace.New()
-	page := func(idx int, fill byte) pmem.DeltaPage {
-		d := pmem.DeltaPage{Index: idx, Data: make([]byte, pmem.PageSize)}
-		for i := range d.Data {
-			d.Data[i] = fill
-		}
-		return d
-	}
-	for fp, in := range [][]pmem.DeltaPage{
-		{page(0, 1)},
-		{page(0, 2), page(3, 3)},
-		nil,
-	} {
+	for fp, in := range deltas {
 		tr.Append(trace.Entry{Kind: trace.Write, Addr: uint64(fp) * 64, Size: 8})
-		if err := w.OnFailurePoint(fp, tr.Len(), fp+1, uint64(100+fp), in, sh); err != nil {
-			t.Fatal(err)
+		if err := w.OnFailurePoint(fp, uint64(100+fp), in); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	perf := []Report{{FailurePoint: -1, PerfKind: 1, Message: "redundant flush"}}
-	if err := w.Finish("Synthetic", tr, perf); err != nil {
-		t.Fatal(err)
+	if err := w.Finish("Synthetic", tr); err != nil {
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// buildArtifact is a small well-formed artifact: three failure points,
+// page 0 dirtied twice.
+func buildArtifact(tb testing.TB) []byte {
+	return encode(tb, testPool,
+		[]pmem.DeltaPage{fillPage(0, pmem.PageSize, 1)},
+		[]pmem.DeltaPage{fillPage(0, pmem.PageSize, 2), fillPage(3, pmem.PageSize, 3)},
+		nil)
+}
+
 func TestArtifactRoundTrip(t *testing.T) {
-	data := buildArtifact(t)
-	a, err := Read(bytes.NewReader(data))
+	a, err := Read(bytes.NewReader(buildArtifact(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +56,6 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 	if a.Trace.Len() != 3 {
 		t.Errorf("embedded trace has %d entries, want 3", a.Trace.Len())
-	}
-	if len(a.Perf) != 1 || a.Perf[0].Message != "redundant flush" {
-		t.Errorf("perf reports = %+v", a.Perf)
 	}
 	if len(a.FPs) != 3 {
 		t.Fatalf("artifact has %d failure points, want 3", len(a.FPs))
@@ -73,13 +67,6 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 	if len(a.FPs[1].Delta) != 2 || a.FPs[1].Delta[1].Index != 3 || a.FPs[1].Delta[1].Data[0] != 3 {
 		t.Errorf("failure point 1 delta = %d page(s)", len(a.FPs[1].Delta))
-	}
-	// Checkpoint interval 2 over failure points 0..2 -> checkpoints at 0, 2.
-	if len(a.Checkpoints) != 2 || a.Checkpoints[0].FP != 0 || a.Checkpoints[1].FP != 2 {
-		t.Fatalf("checkpoints = %+v, want at failure points 0 and 2", a.Checkpoints)
-	}
-	if _, err := a.OpenShadow(&a.Checkpoints[1]); err != nil {
-		t.Errorf("reopening checkpoint shadow: %v", err)
 	}
 }
 
@@ -94,87 +81,53 @@ func TestReadRejectsBadMagic(t *testing.T) {
 	}
 }
 
-func TestBestCheckpoint(t *testing.T) {
-	a, err := Read(bytes.NewReader(buildArtifact(t)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Checkpoints live at failure points 0 and 2; the pick must be the
-	// latest one STRICTLY below the first dispatched failure point.
-	for _, tc := range []struct{ startFP, want int }{
-		{0, -1}, // nothing below 0: replay from the trace head
-		{1, 0},
-		{2, 0},
-		{3, 2},
-		{99, 2},
-	} {
-		ck := a.BestCheckpoint(tc.startFP)
-		switch {
-		case tc.want < 0 && ck != nil:
-			t.Errorf("BestCheckpoint(%d) = FP %d, want none", tc.startFP, ck.FP)
-		case tc.want >= 0 && (ck == nil || ck.FP != tc.want):
-			t.Errorf("BestCheckpoint(%d) = %+v, want FP %d", tc.startFP, ck, tc.want)
-		}
-	}
-}
-
-func TestPoolAtComposesLastWriterWins(t *testing.T) {
-	a, err := Read(bytes.NewReader(buildArtifact(t)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Page 0 is dirtied at failure points 0 (fill 1) and 1 (fill 2); the
-	// composed image at or past 1 must carry the later version.
-	byIdx := func(fp int) map[int]byte {
-		m := map[int]byte{}
-		for _, d := range a.PoolAt(fp) {
-			m[d.Index] = d.Data[0]
-		}
-		return m
-	}
-	if got := byIdx(0); !reflect.DeepEqual(got, map[int]byte{0: 1}) {
-		t.Errorf("PoolAt(0) fills = %v, want page 0 -> 1", got)
-	}
-	if got := byIdx(2); !reflect.DeepEqual(got, map[int]byte{0: 2, 3: 3}) {
-		t.Errorf("PoolAt(2) fills = %v, want page 0 -> 2, page 3 -> 3", got)
+// TestReadRefusesOldVersion: a version 1 artifact (engine checkpoints and
+// perf reports) is refused with a hint to re-record it.
+func TestReadRefusesOldVersion(t *testing.T) {
+	data := buildArtifact(t)
+	binary.LittleEndian.PutUint32(data[4:], 1)
+	if _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "re-record it") {
+		t.Errorf("Read of a version 1 artifact: err = %v, want a re-record error", err)
 	}
 }
 
 func TestOutOfOrderFailurePointRejected(t *testing.T) {
 	w := NewWriter(&bytes.Buffer{}, 1, testPool, 0)
-	sh := shadow.NewPM(testPool)
-	if err := w.OnFailurePoint(1, 0, 0, 0, nil, sh); err == nil {
+	if err := w.OnFailurePoint(1, 0, nil); err == nil {
 		t.Error("out-of-order failure point accepted")
 	}
 }
 
-// TestReadTruncatedHugeCheckpoint: a truncated artifact whose last
-// checkpoint declares a 4 GiB shadow blob fails to decode without
-// allocating the declared size.
-func TestReadTruncatedHugeCheckpoint(t *testing.T) {
-	data := buildArtifact(t)
-	a, err := Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := a.Checkpoints[len(a.Checkpoints)-1]
-	lenAt := len(data) - len(last.Shadow) - 8
-	if got := binary.LittleEndian.Uint64(data[lenAt:]); got != uint64(len(last.Shadow)) {
-		t.Fatalf("blob length field reads %d, want %d", got, len(last.Shadow))
-	}
-	present := len(last.Shadow) / 2
-	bad := append([]byte(nil), data[:lenAt+8+present]...)
-	binary.LittleEndian.PutUint64(bad[lenAt:], 1<<32)
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, err = Read(bytes.NewReader(bad))
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("Read of a truncated 4 GiB blob: err = %v, want io.ErrUnexpectedEOF", err)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
-		t.Errorf("Read allocated %d MiB for a blob of which %d bytes are present", alloc>>20, present)
+// TestReadRejectsOutOfPoolDelta: a delta page reaching past the header's
+// pool size is refused at decode time, naming the failure point and the
+// page; a replay would otherwise panic poking it into the pool.
+func TestReadRejectsOutOfPoolDelta(t *testing.T) {
+	const tailPool = testPool + 100 // the last page is a 100-byte tail
+	for _, tc := range []struct {
+		name string
+		pool uint64
+		page pmem.DeltaPage
+		ok   bool
+	}{
+		{"page-past-end", testPool, fillPage(testPool/pmem.PageSize, pmem.PageSize, 7), false},
+		{"far-page", testPool, fillPage(1<<20, 1, 7), false},
+		{"tail-overrun", tailPool, fillPage(testPool/pmem.PageSize, 101, 7), false},
+		{"tail-exact", tailPool, fillPage(testPool/pmem.PageSize, 100, 7), true},
+		{"last-full-page", testPool, fillPage(testPool/pmem.PageSize-1, pmem.PageSize, 7), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := encode(t, tc.pool, nil, []pmem.DeltaPage{tc.page})
+			_, err := Read(bytes.NewReader(data))
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("in-pool delta page rejected: %v", err)
+				}
+				return
+			}
+			want := []string{"failure point 1", "delta page " + strconv.Itoa(tc.page.Index)}
+			if err == nil || !strings.Contains(err.Error(), want[0]) || !strings.Contains(err.Error(), want[1]) {
+				t.Fatalf("Read: err = %v, want an error naming %q and %q", err, want[0], want[1])
+			}
+		})
 	}
 }

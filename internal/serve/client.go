@@ -130,29 +130,6 @@ func (c *Client) SendLines(leaseID string, chunk []byte) error {
 	return c.do("POST", "/leases/"+leaseID+"/lines", "application/x-ndjson", chunk, nil)
 }
 
-// FetchArtifact downloads the lease's campaign artifact (raw XFDR bytes)
-// into dst. The download doubles as a heartbeat.
-func (c *Client) FetchArtifact(leaseID string, dst io.Writer) error {
-	req, err := http.NewRequest("GET", strings.TrimRight(c.BaseURL, "/")+"/leases/"+leaseID+"/artifact", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusConflict:
-		return ErrLeaseGone
-	case resp.StatusCode != http.StatusOK:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("GET artifact: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	_, err = io.Copy(dst, resp.Body)
-	return err
-}
-
 // Heartbeat renews the lease deadline without sending lines.
 func (c *Client) Heartbeat(leaseID string) error {
 	return c.postJSON("/leases/"+leaseID+"/heartbeat", struct{}{}, nil)

@@ -53,11 +53,6 @@ type LeaseGrant struct {
 	Args       []string `json:"args"`
 	Resume     bool     `json:"resume"`
 	Checkpoint string   `json:"checkpoint,omitempty"`
-	// Artifact reports that the campaign has a recorded pre-failure
-	// artifact: the worker fetches it over GET /leases/{id}/artifact and
-	// runs the shard child with -from-record instead of a live pre-failure
-	// stage.
-	Artifact bool `json:"artifact,omitempty"`
 }
 
 // shard lease/state machine:
@@ -114,12 +109,6 @@ type campaign struct {
 	identity  uint64
 	noCache   bool
 	cacheHits int
-	// recording is true while the daemon's record-once pass runs; the
-	// campaign's shards are not leased until it finishes. artifact is the
-	// recorded pre-failure artifact every shard replays ("" after a failed
-	// or skipped recording — shards then run the pre-failure stage live).
-	recording bool
-	artifact  string
 }
 
 type lease struct {
@@ -150,13 +139,6 @@ type Server struct {
 	// persisted keyed by (campaign argv identity, crash-state fingerprint)
 	// and answer Claim calls from later campaigns with the same argv.
 	Cache *vcache.Cache
-	// Record, when non-nil, is the record-once launcher: it runs the
-	// campaign's deterministic pre-failure pass (the CLI execs itself with
-	// -record) and returns the artifact path. Submissions carrying
-	// -no-fast-forward skip it. Recording happens off the scheduler lock;
-	// a recording campaign's shards stay unleased until it resolves, and a
-	// failed recording falls back to live pre-failure stages.
-	Record func(dir string, args []string) (string, error)
 
 	now func() time.Time
 
@@ -256,27 +238,7 @@ func (s *Server) Submit(spec CampaignSpec) (string, error) {
 	s.campaigns = append(s.campaigns, c)
 	s.byID[c.id] = c
 	s.logf("campaign %s submitted: %d shard(s), args %q", c.id, spec.Shards, strings.Join(spec.Args, " "))
-	if s.Record != nil && !specHasFlag(spec.Args, "-no-fast-forward") {
-		c.recording = true
-		go s.recordCampaign(c)
-	}
 	return c.id, nil
-}
-
-// recordCampaign runs the record-once pass for a freshly submitted
-// campaign and publishes the artifact. Failure is logged, not fatal: the
-// campaign's shards simply run their pre-failure stages live.
-func (s *Server) recordCampaign(c *campaign) {
-	path, err := s.Record(c.dir, c.spec.Args)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c.recording = false
-	if err != nil {
-		s.logf("campaign %s: record pass failed (%v); shards run the pre-failure stage live", c.id, err)
-		return
-	}
-	c.artifact = path
-	s.logf("campaign %s: recorded pre-failure artifact %s", c.id, path)
 }
 
 // shardArgs is the child argument vector for one shard of a campaign: the
@@ -309,9 +271,7 @@ func shardArgs(spec CampaignSpec, index int, resume bool, dir string) []string {
 // a rescheduled shard's grant carries the daemon-held checkpoint. caps
 // are the worker's capability tags: campaigns demanding a capability
 // (today only PoolFile -> "file-backed") are skipped for workers that do
-// not advertise it, rather than granted a lease doomed to exit 2. A
-// campaign whose record-once pass is still running is skipped too — its
-// shards lease once the artifact (or the live fallback) is decided.
+// not advertise it, rather than granted a lease doomed to exit 2.
 func (s *Server) Acquire(worker string, caps ...string) (*LeaseGrant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -320,7 +280,7 @@ func (s *Server) Acquire(worker string, caps ...string) (*LeaseGrant, error) {
 	n := len(s.campaigns)
 	for k := 0; k < n; k++ {
 		c := s.campaigns[(s.rr+k)%n]
-		if c.state != campaignRunning || c.recording {
+		if c.state != campaignRunning {
 			continue
 		}
 		if c.spec.PoolFile && !hasCap(caps, CapFileBacked) {
@@ -359,24 +319,10 @@ func (s *Server) Acquire(worker string, caps ...string) (*LeaseGrant, error) {
 				Args:       shardArgs(c.spec, sh.index, sh.resume, c.dir),
 				Resume:     sh.resume,
 				Checkpoint: string(held),
-				Artifact:   c.artifact != "",
 			}, nil
 		}
 	}
 	return nil, nil
-}
-
-// ArtifactPath validates a lease (renewing its heartbeat) and returns the
-// path of its campaign's recorded artifact; "" when the campaign has none.
-func (s *Server) ArtifactPath(leaseID string) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	l, err := s.activeLease(leaseID)
-	if err != nil {
-		return "", err
-	}
-	return l.c.artifact, nil
 }
 
 // hasCap reports whether a worker's capability tags include want.

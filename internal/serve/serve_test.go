@@ -58,6 +58,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"-spawn", "2"},
 		{"-resume"},
 		{"-checkpoint=-"},
+		{"-record", "x.xfdr"},
+		{"-from-record=x.xfdr"},
 	} {
 		if _, err := s.Submit(CampaignSpec{Args: bad, Shards: 1}); err == nil {
 			t.Errorf("submission with %v accepted; the daemon owns that flag", bad)
@@ -336,76 +338,5 @@ func TestAcquireRoundRobinAcrossCampaigns(t *testing.T) {
 	}
 	if err := s.Heartbeat(grants[0].Lease); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("zombie heartbeat error = %v, want ErrLeaseGone", err)
-	}
-}
-
-// TestRecordingCampaignNotLeased: while the record-once pass runs, the
-// campaign's shards must not lease (a shard started live would duplicate
-// the pre-failure work the artifact is about to make redundant); once the
-// recording resolves, grants carry Artifact=true. A submission carrying
-// -no-fast-forward skips recording entirely and leases immediately.
-func TestRecordingCampaignNotLeased(t *testing.T) {
-	s, _ := testServer(t, time.Minute)
-	release := make(chan struct{})
-	done := make(chan struct{})
-	s.Record = func(dir string, args []string) (string, error) {
-		defer close(done)
-		<-release
-		return dir + "/campaign.xfdr", nil
-	}
-
-	mustSubmit(t, s, CampaignSpec{Args: []string{"-workload", "btree"}, Shards: 1})
-	if g, _ := s.Acquire("w1"); g != nil {
-		t.Fatalf("grant while recording = %+v, want nothing schedulable", g)
-	}
-	close(release)
-	<-done
-	// recordCampaign publishes the artifact under the lock after Record
-	// returns; one more lock round-trip orders this Acquire after it.
-	deadline := time.Now().Add(5 * time.Second)
-	var grant *LeaseGrant
-	for grant == nil && time.Now().Before(deadline) {
-		grant, _ = s.Acquire("w1")
-	}
-	if grant == nil {
-		t.Fatal("no lease granted after recording resolved")
-	}
-	if !grant.Artifact {
-		t.Error("grant after recording has Artifact=false, want true")
-	}
-
-	// -no-fast-forward: no record pass, immediate lease, no artifact.
-	s.Record = func(dir string, args []string) (string, error) {
-		t.Error("record pass launched for a -no-fast-forward submission")
-		return "", nil
-	}
-	mustSubmit(t, s, CampaignSpec{Args: []string{"-workload", "btree", "-no-fast-forward"}, Shards: 1})
-	g2 := mustAcquire(t, s, "w2")
-	if g2.Artifact {
-		t.Error("-no-fast-forward grant has Artifact=true, want false")
-	}
-}
-
-// TestFailedRecordingFallsBackToLive: a failed record pass is not fatal —
-// the shards lease normally, just without an artifact.
-func TestFailedRecordingFallsBackToLive(t *testing.T) {
-	s, _ := testServer(t, time.Minute)
-	done := make(chan struct{})
-	s.Record = func(dir string, args []string) (string, error) {
-		defer close(done)
-		return "", fmt.Errorf("record child: boom")
-	}
-	mustSubmit(t, s, CampaignSpec{Args: []string{"-workload", "btree"}, Shards: 1})
-	<-done
-	deadline := time.Now().Add(5 * time.Second)
-	var grant *LeaseGrant
-	for grant == nil && time.Now().Before(deadline) {
-		grant, _ = s.Acquire("w1")
-	}
-	if grant == nil {
-		t.Fatal("no lease granted after failed recording")
-	}
-	if grant.Artifact {
-		t.Error("failed recording still advertised an artifact")
 	}
 }

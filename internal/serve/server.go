@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 
 	"github.com/pmemgo/xfdetector/internal/ckpt"
 	"github.com/pmemgo/xfdetector/internal/core"
@@ -47,26 +46,26 @@ type ShardStatus struct {
 // report count, and degradation buckets while running; plus the merged
 // result text, sorted report keys, and exit code once done.
 type CampaignStatus struct {
-	ID               string  `json:"id"`
-	State            string  `json:"state"`
-	Failure          string  `json:"failure,omitempty"`
-	Shards           int     `json:"shards"`
-	Covered          int     `json:"covered"`
-	Total            int     `json:"total"` // -1 until a shard completes
-	Reports          int     `json:"reports"`
-	Buckets          Buckets `json:"buckets"`
+	ID      string  `json:"id"`
+	State   string  `json:"state"`
+	Failure string  `json:"failure,omitempty"`
+	Shards  int     `json:"shards"`
+	Covered int     `json:"covered"`
+	Total   int     `json:"total"` // -1 until a shard completes
+	Reports int     `json:"reports"`
+	Buckets Buckets `json:"buckets"`
 	// Registry-side verdict-sharing counters, live while the campaign
 	// runs: distinct crash-state classes claimed over the lease API, clean
 	// verdicts attributed to non-owning shards, and claims answered from
 	// the daemon's cross-campaign cache. (Buckets carries the shard-side
 	// view summed from completed summaries; these count as claims happen.)
-	CrashStateClasses int  `json:"crash_state_classes"`
-	CrossShardPruned  int  `json:"cross_shard_pruned"`
-	CacheHits         int  `json:"cache_hits"`
-	Clean             bool `json:"clean"`
-	Incomplete       bool    `json:"incomplete"`
-	IncompleteReason string  `json:"incomplete_reason,omitempty"`
-	FailurePoints    int     `json:"failure_points"`
+	CrashStateClasses int    `json:"crash_state_classes"`
+	CrossShardPruned  int    `json:"cross_shard_pruned"`
+	CacheHits         int    `json:"cache_hits"`
+	Clean             bool   `json:"clean"`
+	Incomplete        bool   `json:"incomplete"`
+	IncompleteReason  string `json:"incomplete_reason,omitempty"`
+	FailurePoints     int    `json:"failure_points"`
 	// ExitCode follows the CLI contract (0 clean, 1 bugs, 2 failed,
 	// 3 incomplete); -1 while the campaign is still running.
 	ExitCode    int           `json:"exit_code"`
@@ -235,28 +234,6 @@ func (s *Server) Handler() http.Handler {
 
 	mux.HandleFunc("POST /leases/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		leaseErr(w, s.Heartbeat(r.PathValue("id")))
-	})
-
-	// Raw-bytes artifact download for fast-forwarded shards; the fetch
-	// doubles as a heartbeat (ArtifactPath validates and renews the lease).
-	mux.HandleFunc("GET /leases/{id}/artifact", func(w http.ResponseWriter, r *http.Request) {
-		path, err := s.ArtifactPath(r.PathValue("id"))
-		if err != nil {
-			leaseErr(w, err)
-			return
-		}
-		if path == "" {
-			http.Error(w, "campaign has no recorded artifact", http.StatusNotFound)
-			return
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		defer f.Close()
-		w.Header().Set("Content-Type", "application/octet-stream")
-		io.Copy(w, f)
 	})
 
 	mux.HandleFunc("POST /leases/{id}/claim", func(w http.ResponseWriter, r *http.Request) {

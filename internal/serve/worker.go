@@ -122,19 +122,6 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) error {
 	w.logf("lease %s: campaign %s shard %d/%d%s", grant.Lease, grant.Campaign,
 		grant.Shard, grant.Shards, map[bool]string{true: " (-resume)", false: ""}[grant.Resume])
 
-	// Fast-forward: fetch the campaign's recorded pre-failure artifact and
-	// hand it to the child with -from-record. Any fetch failure downgrades
-	// to a live pre-failure stage — slower, never unsound.
-	if grant.Artifact {
-		if path, err := w.fetchArtifact(grant.Lease); err != nil {
-			w.logf("lease %s: artifact fetch failed (%v); running the pre-failure stage live", grant.Lease, err)
-		} else {
-			defer os.Remove(path)
-			grant.Args = append(grant.Args, "-from-record", path)
-			w.logf("lease %s: fetched recorded artifact; shard fast-forwards with -from-record", grant.Lease)
-		}
-	}
-
 	encoded, err := json.Marshal(grant.Args)
 	if err != nil {
 		return err
@@ -275,25 +262,6 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) error {
 		w.logf("lease %s: shard %d exited %d", grant.Lease, grant.Shard, code)
 		return w.Client.Finish(grant.Lease, code, false)
 	}
-}
-
-// fetchArtifact downloads the lease's campaign artifact into a temp file
-// and returns its path; the caller removes it after the shard child exits.
-func (w *Worker) fetchArtifact(leaseID string) (string, error) {
-	f, err := os.CreateTemp("", "xfdetector-*.xfdr")
-	if err != nil {
-		return "", err
-	}
-	if err := w.Client.FetchArtifact(leaseID, f); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return "", err
-	}
-	return f.Name(), nil
 }
 
 func leaseClosed(ch <-chan struct{}) bool {

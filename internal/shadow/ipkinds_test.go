@@ -2,7 +2,9 @@ package shadow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/pmemgo/xfdetector/internal/trace"
@@ -43,11 +45,39 @@ func shadowView(t *testing.T, s *PM, perf []PerfBug) string {
 		fmt.Fprintf(&b, "%v/%d/%d/%v/%s ", s.State(a), s.WriteEpoch(a), s.PersistEpoch(a), s.TxProtected(a), s.WriterIP(a))
 	}
 	if !s.Dense() {
-		if err := s.WriteState(&b); err != nil {
-			t.Fatal(err)
-		}
+		writeEngineState(&b, s)
 	}
 	return b.String()
+}
+
+// writeEngineState prints the sparse shadow's whole pre-failure state:
+// the writer table, pendingLines in address order, the transaction state,
+// commit variables, assocs, and every live page's arrays together with
+// its cached fingerprint hash.
+func writeEngineState(b *bytes.Buffer, s *PM) {
+	fmt.Fprintf(b, "\nsize=%d clock=%d txDepth=%d txGen=%d writers=%q\n", s.size, s.clock, s.txDepth, s.txGen, s.writers)
+	lines := make([]uint64, 0, len(s.pendingLines))
+	for line := range s.pendingLines {
+		lines = append(lines, line)
+	}
+	slices.Sort(lines)
+	for _, line := range lines {
+		fmt.Fprintf(b, "pending %#x %v\n", line, s.pendingLines[line])
+	}
+	fmt.Fprintf(b, "curTx=%+v assocs=%+v\n", s.curTx, s.assocs)
+	for _, cv := range s.commitVars {
+		fmt.Fprintf(b, "commitVar %+v\n", *cv)
+	}
+	for pi, pg := range s.pages {
+		if pg == nil {
+			continue
+		}
+		fmt.Fprintf(b, "page %d anyTxSafe=%v fpHash=%x fpValid=%v\n", pi, pg.anyTxSafe, pg.fpHash, pg.fpValid)
+		for _, arr := range []any{pg.state[:], pg.writeEpoch[:], pg.persistEpoch[:], pg.writerIdx[:],
+			pg.txSafe[:], pg.txAddGen[:], pg.txExplicit[:]} {
+			binary.Write(b, binary.LittleEndian, arr)
+		}
+	}
 }
 
 // applyWithIPs replays everyKindTrace, giving entry i the IP ip(i, kind),
