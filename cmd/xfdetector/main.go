@@ -82,10 +82,8 @@ func realMain(args []string) int {
 		poolMB       = fs.Int("pool-mb", 4, "PM pool size in MiB")
 		workers      = fs.Int("workers", 1, "post-failure worker goroutines (>1 enables parallel detection)")
 		postTimeout  = fs.Duration("post-timeout", 0, "wall-clock deadline per post-failure run (0 = none)")
-		fullCopy     = fs.Bool("full-copy-snapshots", false, "copy the full PM image at every failure point instead of incremental dirty-page snapshots (ablation)")
-		denseShadow  = fs.Bool("dense-shadow", false, "use flat per-byte shadow arrays sized to the pool instead of the sparse paged shadow PM (ablation)")
 		noPrune      = fs.Bool("no-prune", false, "run every failure point instead of testing one representative per crash-state class (ablation; the report-key set is identical either way)")
-		vcachePath   = fs.String("verdict-cache", "", "consult and extend this fsynced on-disk crash-state verdict cache, keyed by (program/config identity, fingerprint): failure points whose class a previous campaign of the identical program resolved cleanly skip their post-runs (CacheHits). With -spawn each shard gets its own cache file; with -serve the daemon holds one under -workdir")
+		vcachePath   = fs.String("verdict-cache", "", "consult and extend this fsynced on-disk crash-state verdict cache, keyed by (program/config identity, fingerprint): failure points whose class a previous campaign of the identical program resolved cleanly skip their post-runs (CacheHits). With -spawn each shard gets its own cache file, so a warm fleet gets every cached verdict back only at the same -spawn N; with -serve the daemon holds one under -workdir")
 		noCrossShard = fs.Bool("no-cross-shard-prune", false, "ablation: daemon-scheduled shards run every class representative themselves instead of claiming classes against the campaign's cross-shard registry (the report-key set is identical either way)")
 		noVCache     = fs.Bool("no-verdict-cache", false, "ablation: ignore the on-disk verdict cache (local -verdict-cache and the -serve daemon's cache alike)")
 		updRounds    = fs.Int("update-rounds", 1, "repeat the -updates pass this many times with identical values (the pruning ablation's repetitive-loop shape)")
@@ -214,13 +212,11 @@ func realMain(args []string) int {
 	}
 
 	cfg := core.Config{
-		PoolSize:                    uint64(*poolMB) << 20,
-		MaxFailurePoints:            *maxFP,
-		Workers:                     *workers,
-		PostRunTimeout:              *postTimeout,
-		DisableIncrementalSnapshots: *fullCopy,
-		DenseShadow:                 *denseShadow,
-		DisablePruning:              *noPrune,
+		PoolSize:         uint64(*poolMB) << 20,
+		MaxFailurePoints: *maxFP,
+		Workers:          *workers,
+		PostRunTimeout:   *postTimeout,
+		DisablePruning:   *noPrune,
 	}
 	// Deterministic disk-fault injection for the degradation smoke tests:
 	// XFDETECTOR_DISK_FAULT=disk-full:N | short-msync:N | torn-mmap:N arms

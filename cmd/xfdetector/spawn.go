@@ -60,9 +60,13 @@ type spawnConfig struct {
 	poolFile bool
 	// vcache, when set, gives every shard a cross-campaign verdict cache.
 	// Each shard gets its own file (shard<i>.vcache under workdir, else
-	// <path>.shard<i>): shards never share a class — equal fingerprints
-	// land on the same shard by the round-robin split — so per-shard files
-	// lose no sharing, and concurrent processes never contend on one file.
+	// <path>.shard<i>), so concurrent processes never contend on one file.
+	// Shards split on failure-point id (fp % shards), not on fingerprint,
+	// so one crash-state class can span shards; -spawn has no cross-shard
+	// registry, so each such shard post-runs and caches its own
+	// representative. A warm fleet therefore gets every cached verdict
+	// back only at the same shard count, where each shard owns the same
+	// failure points as before.
 	vcache  string
 	resume  bool
 	keysOut string

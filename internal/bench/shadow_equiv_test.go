@@ -1,78 +1,11 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/pmemgo/xfdetector/internal/core"
 	"github.com/pmemgo/xfdetector/internal/shadow"
 )
-
-// TestShadowEquivalenceAcrossTable4 pins the sparse paged shadow's
-// correctness bar on the seven-workload table: a run with
-// Config.DenseShadow (the flat per-byte arrays and per-byte state
-// transitions of the previous design) must produce the same report-key set
-// and counters as the sparse default with its range-batched transitions —
-// sequentially and under workers, where the sparse engine additionally
-// hands copy-on-write forks to the checkers. Where a bug is seeded, the
-// expected class must actually be detected, so the equivalence is
-// established on non-trivial report sets.
-func TestShadowEquivalenceAcrossTable4(t *testing.T) {
-	for _, tt := range table4Cases(t) {
-		tt := tt
-		t.Run(tt.name, func(t *testing.T) {
-			t.Parallel()
-			base, err := core.Run(core.Config{PoolSize: DefaultPoolSize}, tt.target())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tt.wantBug && base.Count(tt.wantClass) == 0 {
-				t.Fatalf("seeded fault %q not detected with the sparse shadow:\n%s", tt.fault, base)
-			}
-			if !tt.wantBug && !base.Clean() {
-				t.Fatalf("expected a clean run:\n%s", base)
-			}
-			if base.ShadowPages == 0 || base.ShadowPeakBytes == 0 {
-				t.Errorf("sparse run reported no shadow footprint (%d pages, %d peak bytes)",
-					base.ShadowPages, base.ShadowPeakBytes)
-			}
-			for _, workers := range []int{1, 2} {
-				ablated, err := core.Run(core.Config{
-					PoolSize:    DefaultPoolSize,
-					Workers:     workers,
-					DenseShadow: true,
-				}, tt.target())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := dedupKeys(ablated), dedupKeys(base); !stringSlicesEqual(got, want) {
-					t.Errorf("workers=%d: dense-shadow report keys diverge\nsparse: %v\ndense:  %v",
-						workers, want, got)
-				}
-				for _, c := range []struct {
-					field     string
-					got, base interface{}
-				}{
-					{"failure-points", ablated.FailurePoints, base.FailurePoints},
-					{"post-runs", ablated.PostRuns, base.PostRuns},
-					{"benign-reads", ablated.BenignReads, base.BenignReads},
-					{"post-entries", ablated.PostEntries, base.PostEntries},
-				} {
-					if fmt.Sprint(c.got) != fmt.Sprint(c.base) {
-						t.Errorf("workers=%d: %s = %v, want %v", workers, c.field, c.got, c.base)
-					}
-				}
-				if ablated.ShadowPages != 0 {
-					t.Errorf("workers=%d: dense run allocated %d shadow pages, want 0", workers, ablated.ShadowPages)
-				}
-				if base.ShadowPeakBytes >= ablated.ShadowPeakBytes {
-					t.Errorf("workers=%d: sparse peak %d B not below dense peak %d B",
-						workers, base.ShadowPeakBytes, ablated.ShadowPeakBytes)
-				}
-			}
-		})
-	}
-}
 
 // TestShadowMutationCaughtByTable4 proves the seven-workload table has
 // teeth against shadow-layer soundness regressions: with the fence fast

@@ -1,66 +1,11 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/pmemgo/xfdetector/internal/core"
 	"github.com/pmemgo/xfdetector/internal/pmem"
 )
-
-// TestSnapshotEquivalenceAcrossTable4 pins the incremental-snapshot/COW
-// optimization's correctness bar on the seven-workload table: a run with
-// Config.DisableIncrementalSnapshots (full image copy per failure point,
-// exactly as the paper describes the mechanism) must produce the same
-// report-key set and counters as the optimized default, sequentially and
-// under workers. Where a bug is seeded, the expected class must actually
-// be detected, so the equivalence is established on non-trivial report
-// sets.
-func TestSnapshotEquivalenceAcrossTable4(t *testing.T) {
-	for _, tt := range table4Cases(t) {
-		tt := tt
-		t.Run(tt.name, func(t *testing.T) {
-			t.Parallel()
-			base, err := core.Run(core.Config{PoolSize: DefaultPoolSize}, tt.target())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tt.wantBug && base.Count(tt.wantClass) == 0 {
-				t.Fatalf("seeded fault %q not detected with incremental snapshots:\n%s", tt.fault, base)
-			}
-			if !tt.wantBug && !base.Clean() {
-				t.Fatalf("expected a clean run:\n%s", base)
-			}
-			for _, workers := range []int{1, 2} {
-				ablated, err := core.Run(core.Config{
-					PoolSize:                    DefaultPoolSize,
-					Workers:                     workers,
-					DisableIncrementalSnapshots: true,
-				}, tt.target())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := dedupKeys(ablated), dedupKeys(base); !stringSlicesEqual(got, want) {
-					t.Errorf("workers=%d: ablated report keys diverge\noptimized: %v\nfull-copy: %v",
-						workers, want, got)
-				}
-				for _, c := range []struct {
-					field     string
-					got, base interface{}
-				}{
-					{"failure-points", ablated.FailurePoints, base.FailurePoints},
-					{"post-runs", ablated.PostRuns, base.PostRuns},
-					{"benign-reads", ablated.BenignReads, base.BenignReads},
-					{"post-entries", ablated.PostEntries, base.PostEntries},
-				} {
-					if fmt.Sprint(c.got) != fmt.Sprint(c.base) {
-						t.Errorf("workers=%d: %s = %v, want %v", workers, c.field, c.got, c.base)
-					}
-				}
-			}
-		})
-	}
-}
 
 // TestSnapshotMutationCaughtByTable4 proves the seven-workload table has
 // teeth against snapshot-layer soundness regressions: with a deliberately

@@ -48,8 +48,7 @@ type Line struct {
 	Shards int `json:"shards,omitempty"`
 	// ShadowPeakBytes and ShadowPages are only set on the summary line:
 	// the run's peak shadow-PM footprint and cumulative 4 KiB shadow page
-	// allocations (zero under -dense-shadow, whose flat arrays appear only
-	// in the byte peak). Older checkpoints without them still parse.
+	// allocations. Older checkpoints without them still parse.
 	ShadowPeakBytes uint64 `json:"shadow_peak_bytes,omitempty"`
 	ShadowPages     uint64 `json:"shadow_pages,omitempty"`
 	// Classes and Pruned are only set on the summary line: how many

@@ -71,18 +71,6 @@ type Config struct {
 	// skips failure points between ordering points with no PM operations
 	// in between. For ablation measurements.
 	DisableFailurePointElision bool
-	// DisableIncrementalSnapshots turns off delta snapshots and
-	// copy-on-write post-failure pools: every failure point then performs
-	// the original two full O(PoolSize) image copies. For ablation
-	// measurements; the report set is identical either way.
-	DisableIncrementalSnapshots bool
-	// DenseShadow switches the detection backend to the dense
-	// representation: full-pool-size per-byte shadow arrays, per-byte FSM
-	// transitions, and worker forks that deep-copy the whole table,
-	// instead of the sparse paged shadow with range-batched transitions
-	// and copy-on-write forks. For ablation measurements; the report set
-	// is identical either way.
-	DenseShadow bool
 	// DisablePruning turns off crash-state pruning. By default the detector
 	// fingerprints the shadow state at each failure point
 	// (shadow.CrashFingerprint), groups failure points whose crash states
@@ -290,7 +278,6 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 		pool.Close()
 		return nil, errors.New("core: recording requires a memory-backed pool (the artifact replaces the durable image)")
 	}
-	r.pool.SetIncrementalSnapshots(!cfg.DisableIncrementalSnapshots)
 	r.pool.SetFaultHooks(cfg.FaultHooks)
 	r.pool.SetIPCapture(r.preIPKinds())
 	if cfg.Mode != ModeOriginal {
@@ -302,16 +289,12 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 	if cfg.Mode == ModeDetect {
 		// Workers check against COW forks of this one canonical shadow;
 		// parallel mode no longer needs the trace retained for replay.
-		if cfg.DenseShadow {
-			r.sh = shadow.NewDensePM(r.pool.Size())
-		} else {
-			r.sh = shadow.NewPM(r.pool.Size())
-			if r.pool.FileBacked() {
-				// File-backed campaigns run long and bulk-initialize large
-				// pools; once a page's lines persist the sparse shadow drops
-				// it for a shared singleton (shadow cold-page compaction).
-				r.sh.SetColdPageCompaction(true)
-			}
+		r.sh = shadow.NewPM(r.pool.Size())
+		if r.pool.FileBacked() {
+			// File-backed campaigns run long and bulk-initialize large
+			// pools; once a page's lines persist the shadow drops it for a
+			// shared singleton (shadow cold-page compaction).
+			r.sh.SetColdPageCompaction(true)
 		}
 		if !cfg.DisablePerfBugs {
 			r.sh.SetPerfBugHandler(r.onPerfBug)
@@ -867,16 +850,10 @@ func (r *runner) runAttempts(fpID int, attempt func() postOutcome) (postOutcome,
 }
 
 // newPostPool spawns the post-failure pool for one attempt: a copy-on-write
-// view over the shared snapshot normally, a full flat copy under the
-// ablation knob. A retried attempt calls it again, dropping the faulted
-// attempt's COW overlay.
+// view over the shared snapshot. A retried attempt calls it again, dropping
+// the faulted attempt's COW overlay.
 func (r *runner) newPostPool(snap *pmem.Snapshot) *pmem.Pool {
-	var post *pmem.Pool
-	if r.cfg.DisableIncrementalSnapshots {
-		post = pmem.FromImage(r.pool.Name()+"@post", snap.Bytes())
-	} else {
-		post = pmem.FromSnapshot(r.pool.Name()+"@post", snap)
-	}
+	post := pmem.FromSnapshot(r.pool.Name()+"@post", snap)
 	post.SetFaultHooks(r.cfg.FaultHooks)
 	post.SetStage(trace.PostFailure)
 	// Post-failure IPs are pulled on demand, only for reads with findings

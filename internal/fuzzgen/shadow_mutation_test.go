@@ -10,14 +10,14 @@ import (
 	"github.com/pmemgo/xfdetector/internal/shadow"
 )
 
-// shadowMutants are the deliberate bugs seeded into the sparse shadow
-// representation: a fence fast path that treats every pending cache line as
-// uniformly WritebackPending (spuriously persisting bytes re-modified after
-// the writeback — the range-batching soundness hazard), and a writablePage
-// that skips copy-on-write privatization (worker forks observe shadow state
-// from after their failure point — the fork-isolation soundness hazard).
-// The dense ablation path shares neither mechanism, so only the sparse
-// engine configurations can diverge.
+// shadowMutants are the deliberate bugs seeded into the shadow PM: a fence
+// fast path that treats every pending cache line as uniformly
+// WritebackPending (spuriously persisting bytes re-modified after the
+// writeback — the range-batching soundness hazard), and a writablePage that
+// skips copy-on-write privatization (worker forks observe shadow state from
+// after their failure point — the fork-isolation soundness hazard).
+// Every mismatch is raised against the brute-force oracle (oracle.go),
+// which shares no code with internal/shadow.
 var shadowMutants = []struct {
 	name string
 	set  func(bool)

@@ -89,12 +89,12 @@ type Pool struct {
 	owned []bool
 
 	mu sync.Mutex
-	// Incremental-snapshot state (root pools; see snapshot.go): incSnap
-	// gates delta snapshots, dirty is the page-granularity bitmap of
-	// writes since base, base is the previous snapshot.
-	incSnap bool
-	dirty   []uint64
-	base    *Snapshot
+	// Incremental-snapshot state (root pools; see snapshot.go): dirty is
+	// the page-granularity bitmap of writes since base, base is the
+	// previous snapshot (New starts it at the all-zero image; FromImage
+	// and file-backed pools start without one, and TakeDelta drops it).
+	dirty []uint64
+	base  *Snapshot
 	// file is the durable half of a file-backed root pool (file.go); nil
 	// for in-memory pools and COW views. Set once at construction — the
 	// nil check needs no lock — with all field mutation under mu.
@@ -118,29 +118,27 @@ func New(name string, size int) *Pool {
 	}
 	sz := LineUp(uint64(size))
 	return &Pool{
-		name:    name,
-		size:    sz,
-		buf:     make([]byte, sz),
-		incSnap: true,
-		dirty:   make([]uint64, (numPages(sz)+63)/64),
-		base:    zeroSnapshot(sz),
+		name:  name,
+		size:  sz,
+		buf:   make([]byte, sz),
+		dirty: make([]uint64, (numPages(sz)+63)/64),
+		base:  zeroSnapshot(sz),
 	}
 }
 
-// FromImage creates a pool backed by a full copy of img. The ablation
-// configuration (incremental snapshots disabled) uses it to spawn
-// post-failure executions the original O(PoolSize) way; FromSnapshot is the
-// copy-on-write fast path.
+// FromImage creates a root pool backed by a full copy of img, for tests
+// that rebuild a crash image by hand. It has no snapshot base, so its first
+// TakeSnapshot copies every page; later ones are incremental. The detection
+// engine builds post-failure pools with FromSnapshot instead.
 func FromImage(name string, img []byte) *Pool {
 	buf := make([]byte, len(img))
 	copy(buf, img)
 	sz := uint64(len(buf))
 	return &Pool{
-		name:    name,
-		size:    sz,
-		buf:     buf,
-		incSnap: true,
-		dirty:   make([]uint64, (numPages(sz)+63)/64),
+		name:  name,
+		size:  sz,
+		buf:   buf,
+		dirty: make([]uint64, (numPages(sz)+63)/64),
 	}
 }
 

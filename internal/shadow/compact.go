@@ -40,8 +40,8 @@ package shadow
 //     their ranges overlap (rehydrateCold) before the geometry lands.
 //
 // Compaction is enabled by the detection frontend for file-backed
-// campaigns (SetColdPageCompaction); the sparse/dense equivalence of
-// fingerprints and classifications with it on vs. off is pinned by
+// campaigns (SetColdPageCompaction); the equivalence of fingerprints and
+// classifications with it on vs. off is pinned by
 // TestColdPageCompactionEquivalence and the fuzzer's file-backed configs.
 
 // coldKey identifies one uniform-metadata singleton page.
@@ -49,11 +49,11 @@ type coldKey struct {
 	we, pe, w uint32
 }
 
-// SetColdPageCompaction toggles cold-page compaction on a sparse canonical
+// SetColdPageCompaction toggles cold-page compaction on a canonical
 // shadow. Enable it before replay starts; forks never compact (they take
 // no fences).
 func (s *PM) SetColdPageCompaction(on bool) {
-	s.compactCold = on && !s.dense
+	s.compactCold = on
 	if s.compactCold && s.cold == nil {
 		s.cold = make(map[coldKey]*page)
 		s.coldSlots = make(map[int]*page)

@@ -21,13 +21,10 @@ package shadow
 // already encodes. This is what lets long runs of uniform update loops
 // collapse into one class.
 //
-// The sparse representation caches one hash per 4 KiB shadow page
-// (page.fpHash), invalidated by the mutation paths (stores, flushes,
-// fences, TX_ADD, commit-record updates); a failure point then only
-// re-hashes the pages dirtied since the previous one. The dense ablation
-// representation recomputes chunk hashes of the same 4 KiB granularity with
-// the same symbols, so sparse and dense shadows produce byte-identical
-// fingerprints. Commit-variable geometry (which addresses are commit
+// The shadow caches one hash per 4 KiB shadow page (page.fpHash),
+// invalidated by the mutation paths (stores, flushes, fences, TX_ADD,
+// commit-record updates); a failure point then only re-hashes the pages
+// dirtied since the previous one. Commit-variable geometry (which addresses are commit
 // variables or associated with one) is folded into the final fingerprint
 // directly; registrations additionally drop the cached hashes of the pages
 // their ranges overlap, since the per-byte symbols under new geometry
@@ -46,8 +43,8 @@ func fnvMix(h, v uint64) uint64 {
 
 // emptyPageHash is the hash of a page whose every byte has the zero symbol
 // (writeEpoch 0). Pages hashing to it contribute nothing to a fingerprint,
-// exactly like never-allocated pages, keeping sparse and dense fingerprints
-// identical.
+// exactly like never-allocated pages, so a fingerprint does not depend on
+// which untouched pages happen to be allocated.
 var emptyPageHash = func() uint64 {
 	h := uint64(fnvOffset)
 	for i := 0; i < pageBytes; i++ {
@@ -86,7 +83,7 @@ func (s *PM) fpSymbol(b uint64, st PersistState, we uint32, pe uint32, txSafe bo
 	return 6<<32 | uint64(w)
 }
 
-// pageHash folds the symbols of one sparse page, caching the result on the
+// pageHash folds the symbols of one shadow page, caching the result on the
 // page until a mutation invalidates it.
 func (s *PM) pageHash(pi int, pg *page) uint64 {
 	if pg.fpValid {
@@ -103,24 +100,6 @@ func (s *PM) pageHash(pi int, pg *page) uint64 {
 	return h
 }
 
-// denseChunkHash folds the symbols of one 4 KiB chunk of the dense arrays;
-// bytes past the pool size fold the zero symbol, matching the sparse page
-// layout.
-func (s *PM) denseChunkHash(pi int) uint64 {
-	d := s.d
-	base := uint64(pi) << pageShift
-	h := uint64(fnvOffset)
-	for i := 0; i < pageBytes; i++ {
-		b := base + uint64(i)
-		var sym uint64
-		if b < s.size {
-			sym = s.fpSymbol(b, d.state[b], d.writeEpoch[b], d.persistEpoch[b], d.txSafe[b], d.writerIdx[b])
-		}
-		h = fnvMix(h, sym)
-	}
-	return h
-}
-
 // CrashFingerprint returns the canonical crash-state fingerprint of the
 // shadow's current trace position: a hash over the classification symbols
 // of every touched page plus the commit-variable geometry. Equal
@@ -129,33 +108,19 @@ func (s *PM) denseChunkHash(pi int) uint64 {
 // from the thread advancing the shadow.
 func (s *PM) CrashFingerprint() uint64 {
 	h := uint64(fnvOffset)
-	if s.dense {
-		for pi := 0; pi < numPages(s.size); pi++ {
-			ph := s.denseChunkHash(pi)
-			if ph == emptyPageHash {
-				continue
-			}
-			if collidingFingerprintForTest {
-				ph = collidingPageHash
-			}
-			h = fnvMix(h, uint64(pi)+1)
-			h = fnvMix(h, ph)
+	for pi, pg := range s.pages {
+		if pg == nil {
+			continue
 		}
-	} else {
-		for pi, pg := range s.pages {
-			if pg == nil {
-				continue
-			}
-			ph := s.pageHash(pi, pg)
-			if ph == emptyPageHash {
-				continue
-			}
-			if collidingFingerprintForTest {
-				ph = collidingPageHash
-			}
-			h = fnvMix(h, uint64(pi)+1)
-			h = fnvMix(h, ph)
+		ph := s.pageHash(pi, pg)
+		if ph == emptyPageHash {
+			continue
 		}
+		if collidingFingerprintForTest {
+			ph = collidingPageHash
+		}
+		h = fnvMix(h, uint64(pi)+1)
+		h = fnvMix(h, ph)
 	}
 	// Commit-variable geometry: registering a variable or an associated
 	// range changes how bytes classify without touching any page, so the
@@ -189,12 +154,8 @@ func (pg *page) invalidateFP() {
 // invalidateRangeFP invalidates the cached page hashes overlapping
 // [addr, addr+size): used when a commit variable's write record changes,
 // which flips Eq. 3 outcomes of its associated bytes without any page
-// mutation. Pages never allocated need no invalidation (nothing cached),
-// and the dense representation caches nothing.
+// mutation. Pages never allocated need no invalidation (nothing cached).
 func (s *PM) invalidateRangeFP(addr, size uint64) {
-	if s.dense {
-		return
-	}
 	addr, end := s.clip(addr, size)
 	for b := addr; b < end; {
 		pi, _, _, next := pageSpan(b, end)

@@ -44,13 +44,11 @@ func shadowView(t *testing.T, s *PM, perf []PerfBug) string {
 	for a := uint64(0); a < 0x600; a++ {
 		fmt.Fprintf(&b, "%v/%d/%d/%v/%s ", s.State(a), s.WriteEpoch(a), s.PersistEpoch(a), s.TxProtected(a), s.WriterIP(a))
 	}
-	if !s.Dense() {
-		writeEngineState(&b, s)
-	}
+	writeEngineState(&b, s)
 	return b.String()
 }
 
-// writeEngineState prints the sparse shadow's whole pre-failure state:
+// writeEngineState prints the shadow's whole pre-failure state:
 // the writer table, pendingLines in address order, the transaction state,
 // commit variables, assocs, and every live page's arrays together with
 // its cached fingerprint hash.
@@ -82,11 +80,8 @@ func writeEngineState(b *bytes.Buffer, s *PM) {
 
 // applyWithIPs replays everyKindTrace, giving entry i the IP ip(i, kind),
 // and returns the shadow view after every entry.
-func applyWithIPs(t *testing.T, dense bool, ip func(int, trace.Kind) string) []string {
+func applyWithIPs(t *testing.T, ip func(int, trace.Kind) string) []string {
 	s := NewPM(4096)
-	if dense {
-		s = NewDensePM(4096)
-	}
 	var perf []PerfBug
 	s.SetPerfBugHandler(func(b PerfBug) { perf = append(perf, b) })
 	var views []string
@@ -115,35 +110,33 @@ func TestIPKindsCoverApply(t *testing.T) {
 			t.Fatalf("trace lacks %s", k)
 		}
 	}
-	for _, dense := range []bool{false, true} {
-		all := applyWithIPs(t, dense, func(i int, _ trace.Kind) string { return fmt.Sprintf("w.go:%d", i) })
-		for _, other := range []string{"", "other.go:7"} {
-			narrowed := applyWithIPs(t, dense, func(i int, k trace.Kind) string {
-				if IPKinds.Has(k) {
-					return fmt.Sprintf("w.go:%d", i)
-				}
-				return other
-			})
-			for i := range all {
-				if all[i] != narrowed[i] {
-					t.Fatalf("dense=%v: entry %d (%s): IPs outside IPKinds changed the shadow",
-						dense, i, everyKindTrace()[i].Kind)
-				}
+	all := applyWithIPs(t, func(i int, _ trace.Kind) string { return fmt.Sprintf("w.go:%d", i) })
+	for _, other := range []string{"", "other.go:7"} {
+		narrowed := applyWithIPs(t, func(i int, k trace.Kind) string {
+			if IPKinds.Has(k) {
+				return fmt.Sprintf("w.go:%d", i)
+			}
+			return other
+		})
+		for i := range all {
+			if all[i] != narrowed[i] {
+				t.Fatalf("entry %d (%s): IPs outside IPKinds changed the shadow",
+					i, everyKindTrace()[i].Kind)
 			}
 		}
-		for k := trace.Kind(0); k.Valid(); k++ {
-			if !IPKinds.Has(k) || k == trace.TxAlloc {
-				continue
+	}
+	for k := trace.Kind(0); k.Valid(); k++ {
+		if !IPKinds.Has(k) || k == trace.TxAlloc {
+			continue
+		}
+		moved := applyWithIPs(t, func(i int, kk trace.Kind) string {
+			if kk == k {
+				return "moved.go:1"
 			}
-			moved := applyWithIPs(t, dense, func(i int, kk trace.Kind) string {
-				if kk == k {
-					return "moved.go:1"
-				}
-				return fmt.Sprintf("w.go:%d", i)
-			})
-			if moved[len(moved)-1] == all[len(all)-1] {
-				t.Errorf("dense=%v: the IP of %s is in IPKinds but never reaches the shadow", dense, k)
-			}
+			return fmt.Sprintf("w.go:%d", i)
+		})
+		if moved[len(moved)-1] == all[len(all)-1] {
+			t.Errorf("the IP of %s is in IPKinds but never reaches the shadow", k)
 		}
 	}
 }

@@ -11,7 +11,7 @@ package shadow
 // over the per-byte scratch arrays so that checking a failure point
 // allocates nothing proportional to pool size.
 //
-// In the sparse representation the scratch lives inside the shadow pages:
+// The scratch lives inside the shadow pages:
 // a page never touched pre-failure needs no overlay or checked marks,
 // because every byte of it has writeEpoch 0 and classifies OK on every
 // read — so the checker skips unallocated pages entirely. On a fork, the
@@ -81,12 +81,6 @@ func (s *PM) BeginPostCheck() *PostChecker {
 func (c *PostChecker) OnWrite(addr, size uint64) {
 	s := c.pm
 	addr, end := s.clip(addr, size)
-	if s.dense {
-		for b := addr; b < end; b++ {
-			s.d.postWritten[b] = s.postGen
-		}
-		return
-	}
 	for b := addr; b < end; {
 		pi, lo, hi, next := pageSpan(b, end)
 		if s.pages[pi] == nil {
@@ -130,25 +124,12 @@ func (c *PostChecker) OnRead(addr, size uint64) []Finding {
 		findings = append(findings, Finding{Class: class, Addr: b, Size: 1, WriterIP: wip, State: st})
 		cur = &findings[len(findings)-1]
 	}
-	if s.dense {
-		d := s.d
-		for b := addr; b < end; b++ {
-			if d.postWritten[b] == s.postGen || d.checked[b] == s.postGen {
-				flush()
-				continue
-			}
-			d.checked[b] = s.postGen
-			class, st := c.classify(b, d.state[b], d.writeEpoch[b], d.persistEpoch[b], d.txSafe[b])
-			emit(b, class, st)
-		}
-		return findings
-	}
 	for b := addr; b < end; {
 		pi, lo, hi, next := pageSpan(b, end)
 		if s.pages[pi] == nil {
-			// Never written pre-failure: every byte classifies OK (and,
-			// unlike the dense path, needs no checked mark — re-reading
-			// yields the same OK without scratch).
+			// Never written pre-failure: every byte classifies OK (and
+			// needs no checked mark — re-reading yields the same OK
+			// without scratch).
 			flush()
 			b = next
 			continue

@@ -273,6 +273,10 @@ func (t *Trace) Counts() map[Kind]int {
 const (
 	wireMagic   = 0x58464454 // "XFDT"
 	wireVersion = 1
+
+	// Entry flag bits; every other bit is invalid on the wire.
+	flagInLibrary     = 1
+	flagSkipDetection = 2
 )
 
 var (
@@ -322,10 +326,10 @@ func appendEntry(buf []byte, e Entry) []byte {
 	buf = append(buf, byte(e.Kind), byte(e.Stage))
 	var flags byte
 	if e.InLibrary {
-		flags |= 1
+		flags |= flagInLibrary
 	}
 	if e.SkipDetection {
-		flags |= 2
+		flags |= flagSkipDetection
 	}
 	buf = append(buf, flags)
 	binary.LittleEndian.PutUint32(tmp[:4], e.TID)
@@ -346,7 +350,8 @@ func appendString(buf []byte, s string) []byte {
 }
 
 // ReadFrom decodes a trace previously written with WriteTo, replacing the
-// receiver's contents.
+// receiver's contents. It rejects an invalid kind, stage or flag byte, so
+// every trace it accepts re-encodes to exactly the bytes it consumed.
 func (t *Trace) ReadFrom(r io.Reader) (int64, error) {
 	var n int64
 	var hdr [16]byte
@@ -414,11 +419,17 @@ func readEntry(br *byteReader) (Entry, int, error) {
 	e.Kind = Kind(fixed[40])
 	e.Stage = Stage(fixed[41])
 	flags := fixed[42]
-	e.InLibrary = flags&1 != 0
-	e.SkipDetection = flags&2 != 0
+	e.InLibrary = flags&flagInLibrary != 0
+	e.SkipDetection = flags&flagSkipDetection != 0
 	e.TID = binary.LittleEndian.Uint32(fixed[43:])
 	if !e.Kind.Valid() {
 		return e, n, fmt.Errorf("invalid kind %d", uint8(e.Kind))
+	}
+	if e.Stage > BothStages {
+		return e, n, fmt.Errorf("invalid stage %d", uint8(e.Stage))
+	}
+	if flags&^(flagInLibrary|flagSkipDetection) != 0 {
+		return e, n, fmt.Errorf("invalid flags %#x", flags)
 	}
 	for _, dst := range []*string{&e.IP, &e.Func} {
 		lenBuf, err := br.read(2)

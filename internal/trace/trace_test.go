@@ -164,6 +164,23 @@ func TestWireRejectsGarbage(t *testing.T) {
 	if _, err := tr.ReadFrom(bytes.NewReader(raw)); err == nil {
 		t.Fatal("invalid kind accepted")
 	}
+	// Stage byte outside pre/post/both.
+	buf.Reset()
+	good.WriteTo(&buf)
+	raw = buf.Bytes()
+	raw[16+41] = byte(BothStages) + 1
+	if _, err := tr.ReadFrom(bytes.NewReader(raw)); err == nil {
+		t.Fatal("invalid stage accepted")
+	}
+	// Flag bit other than InLibrary/SkipDetection: decoding would drop it,
+	// so the trace would re-encode to different bytes.
+	buf.Reset()
+	good.WriteTo(&buf)
+	raw = buf.Bytes()
+	raw[16+42] = 4
+	if _, err := tr.ReadFrom(bytes.NewReader(raw)); err == nil {
+		t.Fatal("unknown flag bit accepted")
+	}
 }
 
 func TestWireRoundTripLongStringsTruncated(t *testing.T) {
